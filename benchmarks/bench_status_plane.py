@@ -24,7 +24,9 @@ scrape period much longer than the heartbeat interval, since every
 accepted heartbeat dirties its peer), a delta degenerates to a full
 listing plus cursor bookkeeping and the speedup goes to ~1× or slightly
 below — the committed snapshot records the churn fraction for exactly
-this reason, and ``--status-mode full`` remains the supported reference.
+this reason, and the full path above (``snapshot()``, or
+``merge_snapshots`` over the workers' full documents) remains the
+reference.
 
 Before any number is written, the delta-reconstructed document is
 asserted deep-equal to the full snapshot (single monitor: a
@@ -381,7 +383,8 @@ def main() -> int:
                 "delta numbers are steady-state at the stated churn; with "
                 "churn -> 1 (scrape period >> heartbeat interval) a delta "
                 "carries nearly every peer and the speedup approaches 1x "
-                "or below — --status-mode full stays the reference there"
+                "or below — the full path (snapshot() / merge_snapshots "
+                "over full documents) stays the reference there"
             ),
         },
         "status_plane": results,

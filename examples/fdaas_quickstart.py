@@ -26,7 +26,7 @@ or the subscriber misses the breach — CI runs this script as its
 import asyncio
 import sys
 
-from repro.fdaas import FdaasServer, SLATargets, Tenant, TenantRegistry
+from repro.fdaas import FdaasServer, SLATargets, Tenant, TenantRegistry, arequest
 from repro.fdaas.subscribe import asubscribe_events
 from repro.live import Heartbeater, LiveMonitor
 from repro.live.wire import Heartbeat
@@ -137,7 +137,7 @@ async def run() -> int:
             await consumer
         except asyncio.CancelledError:
             pass
-        snap = server._snapshot()
+        snap = await arequest(*server.status_address, "")
 
     breaches = [
         e for e in received if e.get("type") == "sla" and e["kind"] == "breach"

@@ -26,7 +26,7 @@ from repro.live import (
     Heartbeater,
     LiveMonitor,
     LiveMonitorServer,
-    afetch_status,
+    arequest,
 )
 from repro.net.clock import DriftingClock
 from repro.net.loss import BernoulliLoss
@@ -65,7 +65,7 @@ async def run() -> None:
 
         # Mid-run, ask the status endpoint what q currently believes.
         await asyncio.sleep(CRASH_AT / 2)
-        status = await afetch_status(*server.status.address)
+        status = await arequest(*server.status.address, "")
         peer = status["peers"]["p"]
         print("\nq's status at half-time (via the TCP endpoint):")
         print(f"  accepted {peer['n_accepted']} heartbeats, last seq {peer['last_seq']}")

@@ -31,8 +31,7 @@ from repro.live import (
     Heartbeater,
     LiveMonitor,
     LiveMonitorServer,
-    afetch_metrics,
-    afetch_trace,
+    arequest,
 )
 from repro.obs import Observability, parse_exposition
 
@@ -87,8 +86,8 @@ async def run() -> int:
             await asyncio.sleep(0.02)
 
         # Scrape exactly as an operator (or Prometheus) would: over TCP.
-        text = await afetch_metrics(host, port)
-        trace = await afetch_trace(host, port)
+        text = await arequest(host, port, "metrics")
+        trace = await arequest(host, port, "trace")
 
     families = parse_exposition(text)
     missing = [name for name in REQUIRED_FAMILIES if name not in families]

@@ -159,13 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: full history; suspicion counters stay exact)",
     )
     p_mon.add_argument(
-        "--poll-mode",
-        choices=["heap", "sweep"],
-        default="heap",
-        help="liveness scheduling: 'heap' = O(expired log n) deadline heap "
-        "(default), 'sweep' = reference O(peers) full walk",
-    )
-    p_mon.add_argument(
         "--duration",
         type=float,
         default=None,
@@ -204,24 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "times before reporting that shard as errored (default 1)",
     )
     p_mon.add_argument(
-        "--status-mode",
-        choices=["delta", "full"],
-        default="delta",
-        help="sharded only: how the parent aggregates worker snapshots — "
-        "'delta' folds per-worker incremental deltas into a persistent "
-        "merged view with per-shard cursors (default), 'full' re-fetches "
-        "and re-merges every worker's full snapshot per request "
-        "(reference)",
-    )
-    p_mon.add_argument(
-        "--estimation",
-        choices=["shared", "private"],
-        default="shared",
-        help="per-peer arrival statistics: 'shared' pushes each accepted "
-        "heartbeat into one window set consumed by every detector "
-        "(default), 'private' keeps the reference per-detector copies",
-    )
-    p_mon.add_argument(
         "--ingest-mode",
         choices=["scalar", "batched", "vectorized", "adaptive"],
         default="batched",
@@ -231,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "+ columnar numpy estimation over each batch, 'adaptive' = pick "
         "batched vs vectorized per drain from observed fan-in and drain "
         "cost (all registry detectors have vectorized kernels; all modes "
-        "emit bitwise-identical outputs).  Invalid combinations: "
-        "vectorized/adaptive with --estimation private, or with a custom "
-        "detector class outside the registry",
+        "emit bitwise-identical outputs)",
     )
     p_mon.add_argument(
         "--obs",
@@ -784,13 +757,6 @@ def _cmd_live_monitor(args) -> int:
               file=sys.stderr)
         return 2
     if args.ingest_mode in ("vectorized", "adaptive"):
-        if args.estimation != "shared":
-            print(
-                f"--ingest-mode {args.ingest_mode} computes over the shared "
-                "arrival statistics; it requires --estimation shared",
-                file=sys.stderr,
-            )
-            return 2
         # Fail fast (and readably) on detector classes without a vectorized
         # kernel (every registry detector has one; this guards custom sets).
         try:
@@ -832,8 +798,6 @@ def _cmd_live_monitor(args) -> int:
             args.interval,
             names,
             params,
-            poll_mode=args.poll_mode,
-            estimation=args.estimation,
             ingest_mode=args.ingest_mode,
             max_events=args.max_events,
             transition_retention=args.retain_transitions,
@@ -936,8 +900,6 @@ def _run_sharded_monitor(args, names, params, registry=None) -> int:
             n_shards=args.shards,
             tick=args.tick,
             status_port=args.status_port,
-            estimation=args.estimation,
-            poll_mode=args.poll_mode,
             ingest_mode=args.ingest_mode,
             max_events=args.max_events,
             transition_retention=args.retain_transitions,
@@ -949,7 +911,6 @@ def _run_sharded_monitor(args, names, params, registry=None) -> int:
             tenants_config=registry.to_config() if registry is not None else None,
             status_timeout=args.status_timeout,
             status_retries=args.status_retries,
-            status_mode=args.status_mode,
         )
         async with sharded:
             host, port = sharded.address
@@ -1050,8 +1011,7 @@ def _cmd_live_status(args) -> int:
     import json
     import time
 
-    from repro.live.delta import SnapshotReplica
-    from repro.live.status import fetch_delta, fetch_status
+    from repro.live.delta import SnapshotReplica, delta_line
 
     if args.timeout <= 0:
         print(f"--timeout must be positive, got {args.timeout}", file=sys.stderr)
@@ -1064,38 +1024,25 @@ def _cmd_live_status(args) -> int:
         return 2
     # Under --watch, refreshes ride the delta protocol: only the peers
     # whose entries changed travel each round, and the replica rebuilds
-    # the full document locally.  A server that doesn't speak 'delta'
-    # answers with a plain full snapshot, which the replica treats as a
-    # full refresh — so --watch works against any status endpoint.
-    # (--summary fetches are already constant-size; no replica needed.)
+    # the full document locally.  (--summary requests are already
+    # constant-size; no replica needed.)
     replica = SnapshotReplica() if args.watch is not None and not args.summary else None
     while True:
+        if replica is not None:
+            line = delta_line(replica.cursor, replica.instance)
+        else:
+            line = "summary" if args.summary else ""
         try:
-            if replica is not None:
-                doc = fetch_delta(
-                    args.host,
-                    args.port,
-                    replica.cursor,
-                    replica.instance,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                )
-                if "error" in doc and "schema" not in doc:
-                    print(f"status error: {doc['error']}", file=sys.stderr)
-                    return 1
-                replica.apply(doc)
-                snap = replica.document()
-            else:
-                snap = fetch_status(
-                    args.host,
-                    args.port,
-                    summary=args.summary,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                )
+            doc = _request(args, line)
         except (ConnectionError, OSError, TimeoutError) as exc:
             return _reach_error(args, exc)
-        print(json.dumps(snap, indent=2, sort_keys=True))
+        if "error" in doc and "schema" not in doc:
+            print(f"status error: {doc['error']}", file=sys.stderr)
+            return 1
+        if replica is not None:
+            replica.apply(doc)
+            doc = replica.document()
+        print(json.dumps(doc, indent=2, sort_keys=True))
         if args.watch is None:
             return 0
         sys.stdout.flush()
@@ -1103,6 +1050,19 @@ def _cmd_live_status(args) -> int:
             time.sleep(args.watch)
         except KeyboardInterrupt:
             return 0
+
+
+def _request(args, line: str):
+    """One request line to the endpoint at ``args.host``/``args.port``."""
+    from repro.live.status import request
+
+    return request(
+        args.host,
+        args.port,
+        line,
+        timeout=args.timeout,
+        retries=args.retries,
+    )
 
 
 def _reach_error(args, exc) -> int:
@@ -1118,8 +1078,6 @@ def _reach_error(args, exc) -> int:
 def _cmd_live_metrics(args) -> int:
     import time
 
-    from repro.live.status import fetch_metrics
-
     if args.timeout <= 0:
         print(f"--timeout must be positive, got {args.timeout}", file=sys.stderr)
         return 2
@@ -1128,17 +1086,15 @@ def _cmd_live_metrics(args) -> int:
         return 2
     while True:
         try:
-            text = fetch_metrics(
-                args.host,
-                args.port,
-                timeout=args.timeout,
-                retries=args.retries,
-            )
+            text = _request(args, "metrics")
         except (ConnectionError, OSError, TimeoutError) as exc:
             return _reach_error(args, exc)
-        except ValueError as exc:
-            # JSON came back: the endpoint is up but has no registry.
-            print(str(exc), file=sys.stderr)
+        if not isinstance(text, str):
+            print(
+                "the endpoint serves no metrics exposition — is the monitor "
+                f"running with observability on? ({text.get('error')})",
+                file=sys.stderr,
+            )
             return 1
         print(text, end="" if text.endswith("\n") else "\n")
         if args.watch is None:
@@ -1154,8 +1110,6 @@ def _cmd_live_trace(args) -> int:
     import json
     import time
 
-    from repro.live.status import fetch_trace
-
     if args.timeout <= 0:
         print(f"--timeout must be positive, got {args.timeout}", file=sys.stderr)
         return 2
@@ -1168,18 +1122,12 @@ def _cmd_live_trace(args) -> int:
     cursor = args.since
     while True:
         try:
-            doc = fetch_trace(
-                args.host,
-                args.port,
-                cursor,
-                timeout=args.timeout,
-                retries=args.retries,
-            )
+            doc = _request(args, f"trace {cursor}")
         except (ConnectionError, OSError, TimeoutError) as exc:
             return _reach_error(args, exc)
         if doc.get("tracing") is False or "events" not in doc:
-            # Either an explicit "no tracer" document, or the endpoint
-            # fell back to a status snapshot (no trace producer at all).
+            # An explicit "no tracer" document, or the error envelope of
+            # an endpoint without a trace command.
             print(
                 "the monitor is running without a tracer (observability "
                 "off, or a sharded parent endpoint — per-shard trace is "
@@ -1209,8 +1157,6 @@ def _cmd_live_diag(args) -> int:
     import json
     import time
 
-    from repro.live.status import fetch_diag
-
     if args.timeout <= 0:
         print(f"--timeout must be positive, got {args.timeout}", file=sys.stderr)
         return 2
@@ -1223,18 +1169,12 @@ def _cmd_live_diag(args) -> int:
     cursor = args.since
     while True:
         try:
-            doc = fetch_diag(
-                args.host,
-                args.port,
-                cursor,
-                timeout=args.timeout,
-                retries=args.retries,
-            )
+            doc = _request(args, f"diag {cursor}")
         except (ConnectionError, OSError, TimeoutError) as exc:
             return _reach_error(args, exc)
         if not doc.get("diagnostics"):
-            # Either an explicit diagnostics-off document, or the endpoint
-            # fell back to a status snapshot (no diag producer at all).
+            # An explicit diagnostics-off document, or the error envelope
+            # of an endpoint without a diag command.
             print(
                 "the monitor is running without runtime diagnostics "
                 "(start it with --obs on --diag on)",
@@ -1330,12 +1270,8 @@ def _cmd_fdaas_tenants(args) -> int:
 def _cmd_fdaas_sla(args) -> int:
     import json
 
-    from repro.live.status import fetch_status
-
     try:
-        snap = fetch_status(
-            args.host, args.port, timeout=args.timeout, retries=args.retries
-        )
+        snap = _request(args, "summary")
     except (ConnectionError, OSError, TimeoutError) as exc:
         return _reach_error(args, exc)
     sla = snap.get("sla")
@@ -1362,7 +1298,8 @@ def _cmd_fdaas_subscribe(args) -> int:
     import asyncio
     import json
 
-    from repro.fdaas.subscribe import afetch_events, asubscribe_events
+    from repro.fdaas.subscribe import asubscribe_events
+    from repro.live.status import arequest
 
     if args.since < 0:
         print(f"--since must be non-negative, got {args.since}", file=sys.stderr)
@@ -1370,8 +1307,8 @@ def _cmd_fdaas_subscribe(args) -> int:
 
     async def run() -> int:
         if args.once:
-            doc = await afetch_events(
-                args.host, args.port, args.since, timeout=args.timeout
+            doc = await arequest(
+                args.host, args.port, f"events {args.since}", timeout=args.timeout
             )
             if "events" not in doc:
                 print(

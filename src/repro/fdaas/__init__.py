@@ -22,12 +22,7 @@ A multi-tenant control plane layered over :mod:`repro.live`:
 
 from repro.fdaas.admission import ADMIT_REJECT_REASONS, AdmissionController
 from repro.fdaas.sla import SLAEvent, SLATracker
-from repro.fdaas.subscribe import (
-    EventBroker,
-    afetch_events,
-    asubscribe_events,
-    fetch_events,
-)
+from repro.fdaas.subscribe import EventBroker, asubscribe_events
 from repro.fdaas.tenants import (
     SLATargets,
     Tenant,
@@ -37,6 +32,7 @@ from repro.fdaas.tenants import (
     split_peer,
 )
 from repro.fdaas.service import FdaasServer
+from repro.live.status import arequest, request
 
 __all__ = [
     "ADMIT_REJECT_REASONS",
@@ -49,9 +45,9 @@ __all__ = [
     "Tenant",
     "TenantRegistry",
     "TokenBucket",
-    "afetch_events",
+    "arequest",
     "asubscribe_events",
-    "fetch_events",
     "namespaced",
+    "request",
     "split_peer",
 ]

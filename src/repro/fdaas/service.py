@@ -10,8 +10,9 @@ One object composes the whole control plane around a single
 - a periodic :class:`~repro.fdaas.sla.SLATracker` evaluation loop;
 - an :class:`~repro.fdaas.subscribe.EventBroker` fed by both the
   monitor's transition stream and the SLA loop;
-- a status endpoint extended with the ``events``/``subscribe`` commands,
-  whose snapshots carry ``admission`` and ``sla`` blocks.
+- a status endpoint whose command table extends the monitor server's
+  with ``events``/``subscribe``, and whose snapshots carry ``admission``,
+  ``sla`` and ``events`` blocks (``summary``: ``admission`` and ``sla``).
 
 The monitor must have been constructed with observability *including QoS
 health* — SLA enforcement is meaningless without the rolling estimates —
@@ -29,7 +30,7 @@ from repro.fdaas.sla import SLATracker
 from repro.fdaas.subscribe import DEFAULT_CAPACITY, EventBroker
 from repro.fdaas.tenants import TenantRegistry, split_peer
 from repro.live.monitor import LiveMonitor, LiveMonitorServer
-from repro.live.status import StatusServer, structured
+from repro.live.status import StatusServer, cursor_argument, structured
 
 __all__ = ["FdaasServer"]
 
@@ -130,35 +131,19 @@ class FdaasServer:
                 self.broker.publish({"type": "sla", **event.as_dict()})
 
     # ------------------------------------------------------------------
-    # Status producers
+    # Status blocks
     # ------------------------------------------------------------------
-    def _snapshot(self) -> dict:
-        snap = self._server._status_snapshot()  # monitor + admission blocks
-        snap["sla"] = self.sla.status()
-        snap["events"] = {
-            "published": self.broker.n_published,
-            "cursor": self.broker.cursor,
-            "dropped": self.broker.dropped,
-        }
-        return snap
-
-    def _summary(self) -> dict:
-        snap = self._server._status_summary()
-        snap["sla"] = self.sla.status()
-        return snap
-
-    def _delta(self, since: int | None = None, instance: str | None = None) -> dict:
-        """Enriched delta: the monitor's incremental document plus the
-        head-sized ``sla``/``events`` blocks (always included — they are
-        O(tenants), not O(peers), so deltas stay cheap)."""
-        doc = self._server._status_delta(since, instance)
+    def _blocks(self, doc: dict, is_summary: bool) -> None:
+        """Add the ``sla`` block to every snapshot-shaped reply and the
+        ``events`` block to all but ``summary`` (both are O(tenants), not
+        O(peers), so deltas stay cheap)."""
         doc["sla"] = self.sla.status()
-        doc["events"] = {
-            "published": self.broker.n_published,
-            "cursor": self.broker.cursor,
-            "dropped": self.broker.dropped,
-        }
-        return doc
+        if not is_summary:
+            doc["events"] = {
+                "published": self.broker.n_published,
+                "cursor": self.broker.cursor,
+                "dropped": self.broker.dropped,
+            }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -175,17 +160,13 @@ class FdaasServer:
             diag.watchdog.broker = self.broker
         self.address = await self._server.start()
         if self._status_port is not None:
+            # The monitor server's table (snapshots with the admission
+            # block, metrics/trace/diag) plus the event commands.
+            commands = self._server.status_commands(self._blocks)
+            commands["events"] = (self.broker.document, cursor_argument)
+            commands["subscribe"] = (self.broker.stream, cursor_argument)
             self.status = StatusServer(
-                self._snapshot,
-                host=self._status_host,
-                port=self._status_port,
-                summary=self._summary,
-                delta=self._delta,
-                metrics=self.monitor.render_metrics,
-                trace=self.monitor.trace_document,
-                events=self.broker.document,
-                broker=self.broker,
-                diag=self.monitor.diag_document if diag is not None else None,
+                commands, host=self._status_host, port=self._status_port
             )
             await self.status.start()
         self._sla_task = asyncio.create_task(self._sla_loop())

@@ -13,8 +13,9 @@ module adds push on both sides of the wire:
   ``id`` is the *cursor*: a client that reconnects resumes from the last
   id it saw and misses nothing still retained (``dropped`` in the
   document tells it when the ring outran it).
-- :func:`afetch_events` / :func:`fetch_events` — one-shot clients of the
-  ``events <cursor>`` status command (poll with resume).
+- the ``events <cursor>`` status command (poll with resume) is read with
+  the status plane's one client, :func:`repro.live.status.arequest`;
+- :meth:`EventBroker.stream` — the server side of ``subscribe <cursor>``;
 - :func:`asubscribe_events` — the push client: a long-lived connection
   to the ``subscribe <cursor>`` status command, yielding each event dict
   the moment the server writes it.
@@ -36,9 +37,7 @@ from typing import AsyncIterator, Callable, Dict, List
 __all__ = [
     "DEFAULT_CAPACITY",
     "EventBroker",
-    "afetch_events",
     "asubscribe_events",
-    "fetch_events",
 ]
 
 logger = logging.getLogger(__name__)
@@ -136,44 +135,20 @@ class EventBroker:
                 self._wakeup = asyncio.Event()
             await self._wakeup.wait()
 
-
-async def afetch_events(
-    host: str,
-    port: int,
-    cursor: int = 0,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> dict:
-    """One-shot fetch of retained events past ``cursor`` (JSON document)."""
-    from repro.live.status import _fetch_raw, _retrying
-
-    request = f"events {cursor}\n".encode("ascii")
-    raw = await _retrying(
-        lambda: _fetch_raw(host, port, timeout, request), retries
-    )
-    return json.loads(raw.decode("utf-8"))
-
-
-def fetch_events(
-    host: str,
-    port: int,
-    cursor: int = 0,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> dict:
-    """Synchronous variant of :func:`afetch_events`."""
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(
-            afetch_events(host, port, cursor, timeout=timeout, retries=retries)
-        )
-    raise RuntimeError(
-        "fetch_events() is synchronous; inside an event loop await "
-        "afetch_events(...) instead"
-    )
+    async def stream(self, since: int = 0) -> AsyncIterator[str]:
+        """The ``subscribe`` reply: every event past ``since`` as JSON
+        lines, one chunk per wake-up, for as long as the reader keeps
+        iterating."""
+        cursor = since
+        while True:
+            doc = self.document(cursor)
+            if doc["events"]:
+                yield "".join(
+                    json.dumps(event, sort_keys=True) + "\n"
+                    for event in doc["events"]
+                )
+            cursor = doc["cursor"]
+            await self.wait(cursor)
 
 
 async def asubscribe_events(

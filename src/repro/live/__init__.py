@@ -23,7 +23,8 @@ Modules
   clock skew, scheduled crash) reusing the :mod:`repro.net` models;
 - :mod:`repro.live.service` — the §V-C shared service over live arrivals:
   one heartbeat stream, per-application freshness points;
-- :mod:`repro.live.status` — JSON observability endpoint over local TCP
+- :mod:`repro.live.status` — the status endpoint over local TCP (one
+  command table per server, one client: :func:`request`/:func:`arequest`)
   plus structured (JSON-lines) logging;
 - :mod:`repro.live.shard` — multi-core ingest: ``SO_REUSEPORT`` worker
   processes behind one UDP address, merged into one status document.
@@ -42,12 +43,8 @@ from repro.live.shard import ShardedMonitor, merge_snapshots, reuseport_supporte
 from repro.live.status import (
     SNAPSHOT_SCHEMA_VERSION,
     StatusServer,
-    afetch_metrics,
-    afetch_status,
-    afetch_trace,
-    fetch_metrics,
-    fetch_status,
-    fetch_trace,
+    arequest,
+    request,
 )
 from repro.live.wire import (
     HEADER_SIZE,
@@ -83,15 +80,11 @@ __all__ = [
     "StatusServer",
     "VERSION",
     "WireError",
-    "afetch_metrics",
-    "afetch_status",
-    "afetch_trace",
+    "arequest",
     "decode_fields",
     "decode_fields_from",
-    "fetch_metrics",
-    "fetch_status",
-    "fetch_trace",
     "merge_snapshots",
     "plan_delivery",
+    "request",
     "reuseport_supported",
 ]

@@ -1,7 +1,9 @@
 """Client-side state for the incremental status plane.
 
 Two pure (socket-free) pieces sit behind the ``delta`` request line of
-:mod:`repro.live.status`:
+:mod:`repro.live.status`, whose format lives here too:
+:func:`delta_line` writes ``delta [<cursor> [<instance>]]`` and
+:func:`delta_argument` parses it on the server side:
 
 :class:`SnapshotReplica` reconstructs one monitor's full snapshot from a
 stream of delta documents — apply each response and :meth:`document`
@@ -34,10 +36,35 @@ from __future__ import annotations
 import uuid
 from typing import Dict, List, Mapping, Set, Tuple
 
-__all__ = ["MergedStatusView", "SnapshotReplica"]
+__all__ = [
+    "MergedStatusView",
+    "SnapshotReplica",
+    "delta_argument",
+    "delta_line",
+]
 
 #: Keys of a delta document that are *not* part of the snapshot head.
 _NON_HEAD_KEYS = ("peers", "removed", "delta")
+
+
+def delta_line(since: int | None = None, instance: str | None = None) -> str:
+    """The request line asking for changes after ``since`` minted by
+    ``instance`` (``None`` cursor: a full listing)."""
+    if since is None:
+        return "delta"
+    if instance is None:
+        return f"delta {since}"
+    return f"delta {since} {instance}"
+
+
+def delta_argument(text: str) -> Tuple[int | None, str | None]:
+    """Server-side parser of :func:`delta_line`'s argument: ``(since,
+    instance)``; ValueError on a non-integer cursor or extra words."""
+    parts = text.split()
+    if len(parts) > 2:
+        raise ValueError(f"takes [<cursor> [<instance>]], got {text!r}")
+    since = int(parts[0]) if parts else None
+    return since, parts[1] if len(parts) > 1 else None
 
 
 class ApplyResult:
@@ -54,8 +81,9 @@ class ApplyResult:
 class SnapshotReplica:
     """Reconstruct one status endpoint's full snapshot from deltas.
 
-    Feed every response document (from :func:`repro.live.status.afetch_delta`,
-    or a direct :meth:`LiveMonitor.delta_snapshot` call) to :meth:`apply`;
+    Feed every response document (a ``delta`` reply via
+    :func:`repro.live.status.arequest` and :func:`delta_line`, or a
+    direct :meth:`LiveMonitor.delta_snapshot` call) to :meth:`apply`;
     :attr:`cursor`/:attr:`instance` are what the next fetch should send,
     and :meth:`document` is the reconstructed full snapshot — deep-equal
     to the server's ``snapshot()`` at the cursor's instant.
@@ -283,10 +311,11 @@ class MergedStatusView:
             "shard_errors": self.shard_errors,
         }
 
-    def document(self) -> dict:
+    def document(self, include_peers: bool = True) -> dict:
         """The merged snapshot: ``merge_snapshots`` over the constant-size
         heads (counters summed, worst-case poll latency, admission blocks
-        merged) with the incrementally maintained peer union attached."""
+        merged) with the incrementally maintained peer union attached
+        (``include_peers=False``: the head alone, the ``summary`` reply)."""
         # Imported here, not at module top: shard.py imports this module,
         # and merge_snapshots lives past that import in shard.py's body.
         from repro.live.shard import merge_snapshots
@@ -295,7 +324,8 @@ class MergedStatusView:
             return self._no_shard_doc()
         heads = [self._replicas[sid].head for sid in sorted(self._available)]
         merged = merge_snapshots(heads)
-        merged["peers"] = dict(self._peers)
+        if include_peers:
+            merged["peers"] = dict(self._peers)
         # The union is authoritative exactly as in merge_snapshots' own
         # peers-present branch (the heads carry no listings, so its
         # summed n_peers must be overridden here).

@@ -464,16 +464,15 @@ class VectorizedIngestEngine:
         self._sender_cache: Dict[bytes, int] = {}
         self._touch: List[int] = [-1] * slots
         self._serial = 0
-        self._touched: List[int] = []
+        self._touched: List[int] = []  # accepted rows: to schedule
+        self._stale_touched: List[int] = []  # stale rows: counters only
         #: Distinct peers the last finished batch touched — the adaptive
         #: controller's observed-fan-in signal for columnar drains.
         self.last_fanin = 0
         #: Slot indices whose *entry-visible* state the last finished
-        #: batch changed — the monitor's delta-generation stamp set.  On
-        #: this engine that is the accepted set: a stale-only columnar
-        #: bump (ndg/nstale) stays invisible to snapshots until the next
-        #: dirty-driven sync, so stamping it would mark entries that have
-        #: not observably changed.
+        #: batch changed — the monitor's delta-generation stamp set: every
+        #: decoded peer, accepted or stale (a stale row still bumps the
+        #: entry's ``n_datagrams``/``n_stale``).
         self.last_touched: List[int] = []
 
     # ------------------------------------------------------------------
@@ -742,6 +741,11 @@ class VectorizedIngestEngine:
             stale = ~acc
             sti = pidx[stale]
             self.nstale[sti] += 1
+            # Stale rows change the peer's entry (its counters) without
+            # scheduling anything: mark them for the next sync and for the
+            # batch's delta stamp.
+            self.dirty[sti] = True
+            self._stale_touched.extend(sti.tolist())
             n_stl = int(sti.shape[0])
             if tracer is not None:
                 peer_list = self._mon._peer_by_index
@@ -962,17 +966,19 @@ class VectorizedIngestEngine:
         its final min-deadline (intermediate entries are unobservable —
         ``sched`` decides at pop time — so poll behavior matches the
         per-datagram pushes of the scalar path exactly)."""
-        if not self._touched:
-            self.last_fanin = 0
-            self.last_touched = []
-            return
         acc = self.stage_acc
         if acc is not None:
             t0 = time.perf_counter()
         ups = sorted(set(self._touched))
         self._touched = []
-        self.last_fanin = len(ups)
-        self.last_touched = ups
+        if self._stale_touched:
+            self.last_touched = sorted(set(ups).union(self._stale_touched))
+            self._stale_touched = []
+        else:
+            self.last_touched = ups
+        self.last_fanin = len(self.last_touched)
+        if not ups:
+            return
         pi = np.array(ups, dtype=np.intp)
         best = self.deadline[0][pi].copy()
         for j in range(1, self._D):

@@ -50,7 +50,13 @@ from repro._validation import ensure_positive
 from repro.core.arrivalstats import SharedArrivalState
 from repro.core.base import HeartbeatFailureDetector
 from repro.detectors.registry import make_tuned
-from repro.live.status import SNAPSHOT_SCHEMA_VERSION, StatusServer, structured
+from repro.live.delta import delta_argument
+from repro.live.status import (
+    SNAPSHOT_SCHEMA_VERSION,
+    StatusServer,
+    cursor_argument,
+    structured,
+)
 from repro.live.wire import (
     Heartbeat,
     WireError,
@@ -1456,10 +1462,7 @@ class LiveMonitor:
     def _stamp_touched(self, engine) -> None:
         """Stamp the delta generation on every peer whose entry-visible
         state the engine's last batch changed (``engine.last_touched``:
-        accepted peers on the numpy engine — stale-only columnar bumps
-        stay invisible until the next dirty-driven sync, exactly as full
-        snapshots see them — and every decoded sender on the array
-        fallback, whose rows mutate the peer objects directly)."""
+        every decoded sender, accepted or stale)."""
         gen = self._status_gen
         peer_list = self._peer_by_index
         for pidx in engine.last_touched:
@@ -2164,24 +2167,45 @@ class LiveMonitorServer:
     async def __aexit__(self, *exc) -> None:
         await self.stop()
 
-    def _status_snapshot(self) -> dict:
-        """The monitor snapshot, plus the admission block when screening."""
-        snap = self.monitor.snapshot()
-        if self._admission is not None:
-            snap["admission"] = self._admission.stats()
-        return snap
+    def status_commands(self, blocks=None) -> dict:
+        """This server's status command table (see :mod:`repro.live.status`).
 
-    def _status_summary(self) -> dict:
-        snap = self.monitor.summary()
-        if self._admission is not None:
-            snap["admission"] = self._admission.stats()
-        return snap
+        The empty line, ``summary`` and ``delta`` serve the monitor's
+        documents with the admission block when screening; ``metrics``
+        and ``trace`` exist only with observability on, ``diag`` only with
+        diagnostics on.  ``blocks(doc, is_summary)`` adds a wrapping
+        server's head blocks to those three documents.  Handlers look the
+        monitor's methods up when the table is built, so wrappers
+        installed on the instance before then are the ones called.
+        """
+        monitor = self.monitor
+        admission = self._admission
 
-    def _status_delta(self, since=None, instance=None) -> dict:
-        doc = self.monitor.delta_snapshot(since, instance)
-        if self._admission is not None:
-            doc["admission"] = self._admission.stats()
-        return doc
+        def head(doc: dict, is_summary: bool = False) -> dict:
+            if admission is not None:
+                doc["admission"] = admission.stats()
+            if blocks is not None:
+                blocks(doc, is_summary)
+            return doc
+
+        snapshot = monitor.snapshot
+        summary = monitor.summary
+        delta_snapshot = monitor.delta_snapshot
+        commands = {
+            "": lambda: head(snapshot()),
+            "summary": lambda: head(summary(), True),
+            "delta": (
+                lambda since, instance: head(delta_snapshot(since, instance)),
+                delta_argument,
+            ),
+        }
+        obs = monitor.observability
+        if obs is not None:
+            commands["metrics"] = monitor.render_metrics
+            commands["trace"] = (monitor.trace_document, cursor_argument)
+            if obs.diag is not None:
+                commands["diag"] = (monitor.diag_document, cursor_argument)
+        return commands
 
     def _drain_arena(self) -> None:
         """Readable callback: drain the socket queue into the arena and hand
@@ -2246,16 +2270,10 @@ class LiveMonitorServer:
             sockname = self._transport.get_extra_info("sockname")
         self.address = (sockname[0], sockname[1])
         if self._status_port is not None:
-            has_obs = self.monitor.observability is not None
             self.status = StatusServer(
-                self._status_snapshot,
+                self.status_commands(),
                 host=self._status_host,
                 port=self._status_port,
-                summary=self._status_summary,
-                delta=self._status_delta,
-                metrics=self.monitor.render_metrics if has_obs else None,
-                trace=self.monitor.trace_document if has_obs else None,
-                diag=self.monitor.diag_document if has_obs else None,
             )
             await self.status.start()
         if self._diag is not None:

@@ -39,15 +39,13 @@ import time
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro._validation import ensure_int_at_least, ensure_positive
-from repro.live.delta import MergedStatusView
+from repro.live.delta import MergedStatusView, delta_argument, delta_line
 from repro.live.monitor import LiveMonitor, LiveMonitorServer
 from repro.live.status import (
     SNAPSHOT_SCHEMA_VERSION,
     StatusServer,
-    afetch_delta,
-    afetch_diag,
-    afetch_metrics,
-    afetch_status,
+    arequest,
+    cursor_argument,
     structured,
 )
 from repro.obs.diag import (
@@ -56,7 +54,6 @@ from repro.obs.diag import (
     merge_diag_documents,
 )
 from repro.obs.metrics import (
-    merge_expositions,
     merge_parsed,
     parse_exposition,
     render_parsed,
@@ -388,8 +385,6 @@ class ShardedMonitor:
         tick: float = 0.02,
         status_port: int | None = None,
         status_host: str = "127.0.0.1",
-        estimation: str = "shared",
-        poll_mode: str = "heap",
         ingest_mode: str = "batched",
         max_events: int | None = None,
         transition_retention: int | None = None,
@@ -402,22 +397,13 @@ class ShardedMonitor:
         tenants_config: dict | None = None,
         status_timeout: float = 2.0,
         status_retries: int = 1,
-        status_mode: str = "delta",
     ):
         ensure_positive(interval, "interval")
         ensure_int_at_least(n_shards, 1, "n_shards")
         ensure_positive(status_timeout, "status_timeout")
         ensure_int_at_least(status_retries, 0, "status_retries")
-        if status_mode not in ("delta", "full"):
-            raise ValueError(
-                f"status_mode must be 'delta' or 'full', got {status_mode!r}"
-            )
         self._status_timeout = float(status_timeout)
         self._status_retries = int(status_retries)
-        #: ``"delta"`` folds per-worker deltas into a persistent merged
-        #: view; ``"full"`` is the reference path — re-fetch and re-merge
-        #: every worker's full snapshot per request.
-        self.status_mode = status_mode
         # Multi-tenant admission: the picklable TenantRegistry.to_config()
         # dict; each worker rebuilds its own registry + controller from it.
         self._tenants_config = tenants_config
@@ -447,8 +433,6 @@ class ShardedMonitor:
             interval=float(interval),
             detectors=tuple(detectors),
             params=dict(params or {}),
-            estimation=estimation,
-            poll_mode=poll_mode,
             ingest_mode=ingest_mode,
             max_events=max_events,
             transition_retention=transition_retention,
@@ -482,7 +466,7 @@ class ShardedMonitor:
         self._workers: List[multiprocessing.Process] = []
         self._status_ports: Dict[int, int] = {}
         self._stop_event = None
-        # Delta-mode state: the persistent merged view (rebuilt per
+        # Status-plane state: the persistent merged view (rebuilt per
         # start(), since workers — and their cursors — are per run), a
         # per-shard (text, parsed) exposition cache, and the last merged
         # exposition keyed on the tuple of per-shard texts.
@@ -500,41 +484,6 @@ class ShardedMonitor:
         """``"sharded"`` (worker processes) or ``"single"`` (in-process)."""
         return "sharded" if self.n_shards > 1 else "single"
 
-    async def _merged_snapshot(self) -> dict:
-        """Reference path: full per-shard refetch + merge per request."""
-        snaps = []
-        errors = []
-        results = await asyncio.gather(
-            *(
-                afetch_status(
-                    self._status_host,
-                    port,
-                    timeout=self._status_timeout,
-                    retries=self._status_retries,
-                )
-                for port in self._status_ports.values()
-            ),
-            return_exceptions=True,
-        )
-        for shard_id, result in zip(self._status_ports, results):
-            if isinstance(result, BaseException):
-                errors.append({"shard": shard_id, "error": str(result)})
-            else:
-                snaps.append(result)
-        if not snaps:
-            return {
-                "schema": SNAPSHOT_SCHEMA_VERSION,
-                "mode": "sharded",
-                "n_shards": self.n_shards,
-                "error": "no shard responded",
-                "shard_errors": errors,
-            }
-        merged = merge_snapshots(snaps)
-        merged["n_shards"] = self.n_shards
-        if errors:
-            merged["shard_errors"] = errors
-        return merged
-
     async def _refresh_view(self) -> None:
         """One delta round: fetch each shard at its cursor, fold the lot.
 
@@ -546,12 +495,8 @@ class ShardedMonitor:
         sids = list(self._status_ports)
         results = await asyncio.gather(
             *(
-                afetch_delta(
-                    self._status_host,
-                    self._status_ports[sid],
-                    *self._view.cursor(sid),
-                    timeout=self._status_timeout,
-                    retries=self._status_retries,
+                self._ask(
+                    self._status_ports[sid], delta_line(*self._view.cursor(sid))
                 )
                 for sid in sids
             ),
@@ -559,9 +504,23 @@ class ShardedMonitor:
         )
         self._view.fold(dict(zip(sids, results)))
 
+    def _ask(self, port: int, line: str):
+        """One request to a worker's status endpoint (a coroutine)."""
+        return arequest(
+            self._status_host,
+            port,
+            line,
+            timeout=self._status_timeout,
+            retries=self._status_retries,
+        )
+
     async def _view_snapshot(self) -> dict:
         await self._refresh_view()
         return self._view.document()
+
+    async def _view_summary(self) -> dict:
+        await self._refresh_view()
+        return self._view.document(include_peers=False)
 
     async def _view_delta(
         self, since: int | None = None, instance: str | None = None
@@ -574,22 +533,13 @@ class ShardedMonitor:
         """One exposition for the whole shard group (counters summed,
         per-shard capacity gauges summed, latency gauges worst-case).
 
-        In delta mode the parse/merge/render pipeline is cached: each
-        shard's parsed document is reused while its text is unchanged
-        (worker-side family render caches make unchanged text the common
-        case), and the merged text is reused while *no* shard changed.
-        ``status_mode="full"`` keeps the uncached reference pipeline.
+        The parse/merge/render pipeline is cached: each shard's parsed
+        document is reused while its text is unchanged (worker-side
+        family render caches make unchanged text the common case), and
+        the merged text is reused while *no* shard changed.
         """
         results = await asyncio.gather(
-            *(
-                afetch_metrics(
-                    self._status_host,
-                    port,
-                    timeout=self._status_timeout,
-                    retries=self._status_retries,
-                )
-                for port in self._status_ports.values()
-            ),
+            *(self._ask(port, "metrics") for port in self._status_ports.values()),
             return_exceptions=True,
         )
         texts = [r for r in results if isinstance(r, str)]
@@ -602,9 +552,6 @@ class ShardedMonitor:
             held_text = self._expo_change.get(sid)
             if held_text is None or held_text[0] != result:
                 self._expo_change[sid] = (result, now)
-        if self.status_mode == "full":
-            merged = merge_expositions(texts, gauge_policy=_GAUGE_SUM_METRICS)
-            return merged + self._staleness_fragment(now)
         key = tuple(texts)
         held = self._merged_metrics_cache
         if held is not None and held[0] == key:
@@ -659,16 +606,7 @@ class ShardedMonitor:
         shard's status port directly if incremental tailing is needed.
         """
         results = await asyncio.gather(
-            *(
-                afetch_diag(
-                    self._status_host,
-                    port,
-                    0,
-                    timeout=self._status_timeout,
-                    retries=self._status_retries,
-                )
-                for port in self._status_ports.values()
-            ),
+            *(self._ask(port, "diag 0") for port in self._status_ports.values()),
             return_exceptions=True,
         )
         docs = {}
@@ -778,18 +716,17 @@ class ShardedMonitor:
         self._expo_change = {}
 
         if self._status_port is not None:
-            delta_mode = self.status_mode == "delta"
+            commands = {
+                "": self._view_snapshot,
+                "summary": self._view_summary,
+                "delta": (self._view_delta, delta_argument),
+            }
+            if self._obs_kwargs is not None:
+                commands["metrics"] = self._merged_metrics
+            if self._diagnostics:
+                commands["diag"] = (self._merged_diag, cursor_argument)
             self.status = StatusServer(
-                self._view_snapshot if delta_mode else self._merged_snapshot,
-                host=self._status_host,
-                port=self._status_port,
-                delta=self._view_delta if delta_mode else None,
-                metrics=(
-                    self._merged_metrics
-                    if self._obs_kwargs is not None
-                    else None
-                ),
-                diag=self._merged_diag if self._diagnostics else None,
+                commands, host=self._status_host, port=self._status_port
             )
             await self.status.start()
         logger.info(
@@ -805,13 +742,11 @@ class ShardedMonitor:
     async def snapshot(self) -> dict:
         """The merged status document (fetches every live shard)."""
         if self._single is not None:
-            snap = self._single._status_snapshot()  # includes "admission"
+            snap = self._single.status_commands()[""]()  # with "admission"
             merged = merge_snapshots([snap])
             merged["n_shards"] = 1
             return merged
-        if self.status_mode == "delta":
-            return await self._view_snapshot()
-        return await self._merged_snapshot()
+        return await self._view_snapshot()
 
     async def metrics(self) -> str:
         """The merged Prometheus exposition (RuntimeError with obs off)."""

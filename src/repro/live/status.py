@@ -1,47 +1,33 @@
-"""Observability for the live runtime: JSON status endpoint + structured logs.
+"""Observability for the live runtime: a JSON status endpoint + structured logs.
 
-:class:`StatusServer` serves one JSON document per TCP connection on a
-local port — per-peer detector state, arrival counts, current freshness
-points, monitor-load counters (whatever the wrapped ``snapshot`` callable
-reports).  The protocol is deliberately trivial: connect, read until EOF,
-parse.  ``nc 127.0.0.1 <port>`` works; so does :func:`fetch_status`, the
-in-process client the CLI's ``repro-fd live status`` uses.
+:class:`StatusServer` answers one request line per TCP connection on a
+local port.  Each server hands it a *command table*: the first word of
+the request line picks a handler, the rest of the line is its argument.
+The tables the runtime builds (``LiveMonitorServer``, ``FdaasServer``,
+``ShardedMonitor``) serve these words:
 
-At large peer counts the full snapshot can run to megabytes, so a client
-may optionally send one request line (then half-close) before reading:
+- the empty line — the full snapshot (per-peer detector state, arrival
+  counts, freshness points, monitor-load counters).  A client that sends
+  nothing gets it too, so bare ``nc 127.0.0.1 <port>`` keeps working;
+- ``summary`` — the constant-size head of the snapshot, without ``peers``;
+- ``delta [<cursor> [<instance>]]`` — the incremental snapshot: the
+  summary head plus only the peer entries changed after generation
+  ``cursor`` and the peers removed since, with a ``delta`` block carrying
+  the next cursor and this monitor's instance id (line format and
+  fallbacks: :mod:`repro.live.delta`);
+- ``metrics`` — the Prometheus text exposition (plain text, not JSON);
+- ``trace [<cursor>]`` — retained heartbeat trace events past ``cursor``;
+- ``diag [<cursor>]`` — the runtime diagnostics document;
+- ``events [<cursor>]`` — retained fdaas events past ``cursor``;
+- ``subscribe [<cursor>]`` — the only *long-lived* command: the
+  connection stays open and every event past ``cursor`` is pushed as one
+  JSON line the moment it is published.
 
-- ``summary\\n`` — the constant-size summary document instead (peer
-  count, heartbeat rate, poll cost, heap size — the ``monitor`` block);
-- ``metrics\\n`` — the Prometheus text exposition of the attached
-  metrics registry (plain text, not JSON; see :mod:`repro.obs.metrics`);
-- ``trace\\n`` or ``trace <cursor>\\n`` — the retained heartbeat trace
-  events past ``cursor`` as a JSON document (see
-  :meth:`repro.obs.tracer.HeartbeatTracer.document`) — the transport
-  behind ``repro-fd live trace --follow``;
-- ``delta\\n`` or ``delta <cursor> [instance]\\n`` — the incremental
-  snapshot: the constant-size summary head plus only the peer entries
-  changed after generation ``cursor`` (and the peers removed since),
-  with a ``delta`` block carrying the next cursor and this monitor's
-  instance id.  Without a cursor — or with one minted by another
-  instance (a restart), ahead of the current generation, or older than
-  a compacted removal tombstone — the listing is full (``delta.full``
-  is true), the same fallback discipline as everything else here.  A
-  server without a delta producer answers with the plain full snapshot
-  (no ``delta`` block), which clients treat as a full refresh;
-- ``events\\n`` or ``events <cursor>\\n`` — the retained fdaas events
-  (transitions, SLA breaches) past ``cursor`` as one JSON document;
-- ``diag\\n`` or ``diag <cursor>\\n`` — the runtime diagnostics document
-  (pipeline stage timings, stall-watchdog state, flight-recorder drain
-  records past ``cursor``; see :mod:`repro.obs.diag`) — the transport
-  behind ``repro-fd live diag [--watch]``;
-- ``subscribe\\n`` or ``subscribe <cursor>\\n`` — the only *long-lived*
-  command: the connection stays open and every event past ``cursor`` is
-  pushed as one JSON line the moment it is published, no polling (see
-  :mod:`repro.fdaas.subscribe`, which provides the client side).
-
-A client that sends nothing, or anything else, gets the full snapshot,
-so plain ``nc`` keeps working unchanged; commands whose producer was not
-attached also fall back to the full snapshot rather than erroring.
+A word the table does not hold — including ``metrics``/``trace``/``diag``
+on a server whose observability or diagnostics are off, and prefix
+collisions such as ``deltax`` — and an argument that does not parse both
+get an ``{"error": ...}`` envelope naming the commands this endpoint
+serves.  :func:`request`/:func:`arequest` are the one client.
 
 :func:`structured` formats JSON-lines log records: every noteworthy runtime
 event (peer discovered, suspicion raised, monitor started/stopped) is
@@ -55,21 +41,15 @@ import asyncio
 import json
 import logging
 import random
-from typing import Callable, Tuple
+from typing import Callable, Mapping, Tuple
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
     "StatusServer",
-    "afetch_delta",
-    "afetch_diag",
-    "afetch_metrics",
-    "afetch_status",
-    "afetch_trace",
-    "fetch_delta",
-    "fetch_diag",
-    "fetch_metrics",
-    "fetch_status",
-    "fetch_trace",
+    "arequest",
+    "cursor_argument",
+    "no_argument",
+    "request",
     "structured",
 ]
 
@@ -111,52 +91,45 @@ def _unserializable(value: object) -> bool:
         return True
 
 
+def no_argument(text: str) -> tuple:
+    """Argument parser of a command that takes none."""
+    if text:
+        raise ValueError(f"takes no argument, got {text!r}")
+    return ()
+
+
+def cursor_argument(text: str) -> tuple:
+    """Argument parser of ``<word> [<cursor>]``: one integer, default 0."""
+    return (int(text) if text else 0,)
+
+
 class StatusServer:
-    """Serve ``snapshot()`` as one JSON document per TCP connection.
+    """Serve a command table over local TCP, one reply per connection.
 
-    ``summary`` is an optional second callable serving the constant-size
-    variant when the client requests it (see module docstring); without
-    it, every request gets the full snapshot.
-
-    Either producer may be a plain callable returning a dict *or* an
-    async callable returning one — the shard aggregator's merged snapshot
-    awaits the per-shard fetches, so its producer is a coroutine
-    function; a plain monitor's is not.
+    ``commands`` maps the first word of the request line to a handler, or
+    to ``(handler, parse)`` for a command that takes an argument: ``parse``
+    turns the rest of the line into the handler's positional arguments and
+    raises :class:`ValueError` when it does not parse (a bare handler
+    takes no argument).  A handler, plain or async, returns a dict (served
+    as one JSON document), a str (served as text) or an async iterator of
+    str (a long-lived stream, written chunk by chunk until the client
+    hangs up or the server stops).
     """
 
     def __init__(
         self,
-        snapshot: Callable[[], dict],
+        commands: Mapping[str, Callable | Tuple[Callable, Callable]],
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        summary: Callable[[], dict] | None = None,
-        delta: Callable[..., dict] | None = None,
-        metrics: Callable[[], str] | None = None,
-        trace: Callable[[int], dict] | None = None,
-        events: Callable[[int], dict] | None = None,
-        diag: Callable[[int], dict] | None = None,
-        broker=None,
     ):
-        self._snapshot = snapshot
-        self._summary = summary
-        # ``delta(since, instance)`` — the incremental snapshot producer;
-        # commands against a server without one fall back to the full
-        # snapshot, which delta clients treat as a full refresh.
-        self._delta = delta
-        self._metrics = metrics
-        self._trace = trace
-        self._events = events
-        # ``diag(since)`` — the runtime diagnostics producer (stage
-        # timings, watchdog, flight records past the cursor).
-        self._diag = diag
-        # An EventBroker-like object (``document(since)`` + ``async
-        # wait(since)``) enabling the long-lived ``subscribe`` command.
-        self._broker = broker
+        self._commands = {
+            word: entry if isinstance(entry, tuple) else (entry, no_argument)
+            for word, entry in commands.items()
+        }
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
-        self._streams: set = set()  # live ``subscribe`` handler tasks
+        self._streams: set = set()  # live stream handler tasks
         self.address: Tuple[str, int] | None = None
 
     async def start(self) -> Tuple[str, int]:
@@ -176,66 +149,47 @@ class StatusServer:
         except asyncio.TimeoutError:
             return b""
 
+    def _refusal(self, reason: str) -> str:
+        """The error envelope for a request this table cannot answer."""
+        known = sorted(word for word in self._commands if word)
+        return json.dumps(
+            {
+                "error": f"{reason}; this endpoint serves: "
+                f"{', '.join(known)} (an empty line is the full snapshot)",
+                "commands": known,
+            },
+            sort_keys=True,
+        ) + "\n"
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = (await self._read_request(reader)).strip()
-            if self._broker is not None and request[:9] == b"subscribe":
-                since = int(request[9:].strip() or 0)
-                await self._stream(writer, since)
-                return
-            if self._metrics is not None and request == b"metrics":
-                # Plain text, not JSON: the Prometheus exposition format
-                # is its own framing (curl/nc/scrapers read to EOF).
-                text = self._metrics()
-                if asyncio.iscoroutine(text):
-                    text = await text
-                body = text
-            elif self._events is not None and request[:6] == b"events":
-                since = int(request[6:].strip() or 0)
-                doc = self._events(since)
-                if asyncio.iscoroutine(doc):
-                    doc = await doc
-                body = json.dumps(doc, sort_keys=True) + "\n"
-            elif self._delta is not None and request[:5] == b"delta":
-                parts = request[5:].split()
-                since = int(parts[0]) if parts else None
-                instance = (
-                    parts[1].decode("ascii") if len(parts) > 1 else None
-                )
-                doc = self._delta(since, instance)
-                if asyncio.iscoroutine(doc):
-                    doc = await doc
-                body = json.dumps(doc, sort_keys=True) + "\n"
-            elif self._trace is not None and request[:5] == b"trace":
-                since = 0
-                argument = request[5:].strip()
-                if argument:
-                    since = int(argument)
-                doc = self._trace(since)
-                if asyncio.iscoroutine(doc):
-                    doc = await doc
-                body = json.dumps(doc, sort_keys=True) + "\n"
-            elif self._diag is not None and request[:4] == b"diag":
-                since = 0
-                argument = request[4:].strip()
-                if argument:
-                    since = int(argument)
-                doc = self._diag(since)
-                if asyncio.iscoroutine(doc):
-                    doc = await doc
-                body = json.dumps(doc, sort_keys=True) + "\n"
+            line = await self._read_request(reader)
+            parts = line.decode("utf-8", "replace").split(None, 1)
+            word = parts[0] if parts else ""
+            entry = self._commands.get(word)
+            if entry is None:
+                body = self._refusal(f"unknown request {word!r}")
             else:
-                producer = self._snapshot
-                if self._summary is not None and request == b"summary":
-                    producer = self._summary
-                doc = producer()
-                if asyncio.iscoroutine(doc):
-                    doc = await doc
-                body = json.dumps(doc, sort_keys=True) + "\n"
-        except Exception as exc:  # snapshot bugs must not kill the server
-            logger.exception("status snapshot failed")
+                handler, parse = entry
+                try:
+                    args = parse(parts[1].strip() if len(parts) > 1 else "")
+                except ValueError as exc:
+                    body = self._refusal(f"bad argument to {word!r}: {exc}")
+                else:
+                    reply = handler(*args)
+                    if asyncio.iscoroutine(reply):
+                        reply = await reply
+                    if isinstance(reply, str):
+                        body = reply
+                    elif hasattr(reply, "__aiter__"):
+                        await self._stream(writer, reply)
+                        return
+                    else:
+                        body = json.dumps(reply, sort_keys=True) + "\n"
+        except Exception as exc:  # handler bugs must not kill the server
+            logger.exception("status request failed")
             body = json.dumps({"error": str(exc)}) + "\n"
         try:
             writer.write(body.encode("utf-8"))
@@ -249,24 +203,15 @@ class StatusServer:
             except ConnectionError:
                 pass
 
-    async def _stream(
-        self, writer: asyncio.StreamWriter, since: int
-    ) -> None:
-        """The ``subscribe`` command: push events as JSON lines until the
+    async def _stream(self, writer: asyncio.StreamWriter, chunks) -> None:
+        """A long-lived reply: write each chunk as it comes until the
         client hangs up (or the server stops and cancels the handler)."""
-        cursor = since
         task = asyncio.current_task()
         self._streams.add(task)
         try:
-            while True:
-                doc = self._broker.document(cursor)
-                for event in doc["events"]:
-                    writer.write(
-                        (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-                    )
-                cursor = doc["cursor"]
+            async for chunk in chunks:
+                writer.write(chunk.encode("utf-8"))
                 await writer.drain()
-                await self._broker.wait(cursor)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -283,7 +228,7 @@ class StatusServer:
 
     async def stop(self) -> None:
         if self._server is not None:
-            # Long-lived subscribe handlers would otherwise keep
+            # Long-lived stream handlers would otherwise keep
             # wait_closed() hanging on Pythons that await live handlers.
             for task in tuple(self._streams):
                 task.cancel()
@@ -293,7 +238,7 @@ class StatusServer:
             logger.info(structured("status-stopped"))
 
 
-#: Cap (seconds) of the first retry delay; the clients use *full jitter*
+#: Cap (seconds) of the first retry delay; the client uses *full jitter*
 #: — each attempt sleeps uniform(0, RETRY_BACKOFF * 2**attempt) — so a
 #: fleet of clients hammering a just-restarted endpoint spreads out
 #: instead of retrying in synchronized waves.
@@ -305,14 +250,14 @@ def _backoff_delay(attempt: int) -> float:
     return random.uniform(0.0, RETRY_BACKOFF * (2**attempt))
 
 
-async def _fetch_raw(
-    host: str, port: int, timeout: float, request: bytes
+async def _exchange(
+    host: str, port: int, timeout: float, line: bytes
 ) -> bytes:
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host, port), timeout
     )
     try:
-        writer.write(request)
+        writer.write(line)
         if writer.can_write_eof():
             writer.write_eof()  # tell the server no more request is coming
         await writer.drain()
@@ -326,29 +271,41 @@ async def _fetch_raw(
     return raw
 
 
-async def _fetch(host: str, port: int, timeout: float, summary: bool) -> dict:
-    raw = await _fetch_raw(
-        host, port, timeout, b"summary\n" if summary else b"\n"
-    )
-    return json.loads(raw.decode("utf-8"))
+async def arequest(
+    host: str,
+    port: int,
+    line: str,
+    *,
+    timeout: float = 5.0,
+    retries: int = 0,
+) -> dict | str:
+    """Send one request line to a status endpoint; return its reply.
 
-
-async def _fetch_with_retries(
-    host: str, port: int, timeout: float, summary: bool, retries: int
-) -> dict:
+    ``line`` is a command word and its argument (``""`` for the full
+    snapshot, ``"summary"``, ``"delta 42 <instance>"``, ``"metrics"``,
+    ...).  A reply starting with ``{`` is decoded to a dict — error
+    envelopes included, which are returned rather than raised; anything
+    else (the ``metrics`` exposition) is returned as text.  ``retries``
+    re-attempts failed connections/reads that many additional times with
+    full-jitter exponential backoff (uniform in [0, 0.1 s], [0, 0.2 s],
+    [0, 0.4 s], ...) before raising — useful right after launching a
+    monitor, whose status port may not be listening yet.
+    """
     if retries < 0:
         raise ValueError(f"retries must be non-negative, got {retries}")
+    data = (line + "\n").encode("utf-8")
     attempt = 0
     while True:
         try:
-            return await _fetch(host, port, timeout, summary)
+            raw = await _exchange(host, port, timeout, data)
+            break
         except (OSError, asyncio.TimeoutError) as exc:
             if attempt >= retries:
                 raise
             delay = _backoff_delay(attempt)
             attempt += 1
             logger.debug(
-                "status fetch from %s:%d failed (%s); retry %d/%d in %.2fs",
+                "status request to %s:%d failed (%s); retry %d/%d in %.2fs",
                 host,
                 port,
                 exc,
@@ -357,239 +314,26 @@ async def _fetch_with_retries(
                 delay,
             )
             await asyncio.sleep(delay)
-
-
-def fetch_status(
-    host: str,
-    port: int,
-    *,
-    timeout: float = 5.0,
-    summary: bool = False,
-    retries: int = 0,
-) -> dict:
-    """Fetch and parse one status document (synchronous client).
-
-    ``summary=True`` requests the constant-size summary head instead of
-    the full per-peer listing (servers without summary support still
-    answer with the full document).  ``retries`` re-attempts failed
-    connections/reads that many additional times with full-jitter
-    exponential backoff (uniform in [0, 0.1 s], [0, 0.2 s], [0, 0.4 s],
-    ...) before raising — useful right after launching a monitor, whose
-    status port may not be listening yet.
-    """
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(
-            _fetch_with_retries(host, port, timeout, summary, retries)
-        )
-    raise RuntimeError(
-        "fetch_status() is synchronous; inside an event loop await "
-        "status.afetch_status(...) instead"
-    )
-
-
-async def afetch_status(
-    host: str,
-    port: int,
-    *,
-    timeout: float = 5.0,
-    summary: bool = False,
-    retries: int = 0,
-) -> dict:
-    """Async variant of :func:`fetch_status` for use inside an event loop."""
-    return await _fetch_with_retries(host, port, timeout, summary, retries)
-
-
-async def _retrying(coro_factory, retries: int):
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
-    attempt = 0
-    while True:
-        try:
-            return await coro_factory()
-        except (OSError, asyncio.TimeoutError):
-            if attempt >= retries:
-                raise
-            await asyncio.sleep(_backoff_delay(attempt))
-            attempt += 1
-
-
-async def afetch_delta(
-    host: str,
-    port: int,
-    since: int | None = None,
-    instance: str | None = None,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> dict:
-    """Fetch an incremental snapshot (``delta <cursor> [instance]``).
-
-    ``since``/``instance`` come from the ``delta`` block of the previous
-    response; pass ``None`` (or a cursor from a restarted server) to get
-    a full listing.  Servers predating the delta protocol answer with
-    the plain full snapshot — callers should treat a response without a
-    ``delta`` block as a full refresh
-    (:class:`repro.live.delta.SnapshotReplica` does).
-    """
-    if since is None:
-        request = b"delta\n"
-    elif instance is None:
-        request = f"delta {since}\n".encode("ascii")
-    else:
-        request = f"delta {since} {instance}\n".encode("ascii")
-    raw = await _retrying(
-        lambda: _fetch_raw(host, port, timeout, request), retries
-    )
-    return json.loads(raw.decode("utf-8"))
-
-
-def fetch_delta(
-    host: str,
-    port: int,
-    since: int | None = None,
-    instance: str | None = None,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> dict:
-    """Synchronous variant of :func:`afetch_delta`."""
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(
-            afetch_delta(
-                host, port, since, instance, timeout=timeout, retries=retries
-            )
-        )
-    raise RuntimeError(
-        "fetch_delta() is synchronous; inside an event loop await "
-        "status.afetch_delta(...) instead"
-    )
-
-
-async def afetch_metrics(
-    host: str,
-    port: int,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> str:
-    """Fetch the Prometheus text exposition from a status endpoint.
-
-    Sends ``metrics\\n``; the response is the exposition document as-is
-    (raises :class:`ValueError` if the endpoint answered with JSON — a
-    monitor running without observability serves only snapshots).
-    """
-    raw = await _retrying(
-        lambda: _fetch_raw(host, port, timeout, b"metrics\n"), retries
-    )
     text = raw.decode("utf-8")
-    if text.lstrip().startswith("{"):
-        raise ValueError(
-            "endpoint answered with a JSON snapshot, not a metrics "
-            "exposition — is the monitor running with observability on?"
-        )
-    return text
+    return json.loads(text) if text.startswith("{") else text
 
 
-def fetch_metrics(
+def request(
     host: str,
     port: int,
+    line: str,
     *,
     timeout: float = 5.0,
     retries: int = 0,
-) -> str:
-    """Synchronous variant of :func:`afetch_metrics`."""
+) -> dict | str:
+    """Synchronous twin of :func:`arequest` (refuses inside an event loop)."""
     try:
         asyncio.get_running_loop()
     except RuntimeError:
         return asyncio.run(
-            afetch_metrics(host, port, timeout=timeout, retries=retries)
+            arequest(host, port, line, timeout=timeout, retries=retries)
         )
     raise RuntimeError(
-        "fetch_metrics() is synchronous; inside an event loop await "
-        "status.afetch_metrics(...) instead"
-    )
-
-
-async def afetch_trace(
-    host: str,
-    port: int,
-    since: int = 0,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> dict:
-    """Fetch retained trace events past cursor ``since`` (JSON document)."""
-    request = f"trace {since}\n".encode("ascii")
-    raw = await _retrying(
-        lambda: _fetch_raw(host, port, timeout, request), retries
-    )
-    return json.loads(raw.decode("utf-8"))
-
-
-def fetch_trace(
-    host: str,
-    port: int,
-    since: int = 0,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> dict:
-    """Synchronous variant of :func:`afetch_trace`."""
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(
-            afetch_trace(host, port, since, timeout=timeout, retries=retries)
-        )
-    raise RuntimeError(
-        "fetch_trace() is synchronous; inside an event loop await "
-        "status.afetch_trace(...) instead"
-    )
-
-
-async def afetch_diag(
-    host: str,
-    port: int,
-    since: int = 0,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> dict:
-    """Fetch the runtime diagnostics document (``diag <cursor>``).
-
-    ``since`` is a flight-recorder cursor from a previous response's
-    ``recorder.cursor``; records with larger ids are returned along with
-    the stage-timing and watchdog summaries (which are not cursored —
-    they are constant-size).  A monitor running without diagnostics
-    answers ``{"diagnostics": false}``.
-    """
-    request = f"diag {since}\n".encode("ascii")
-    raw = await _retrying(
-        lambda: _fetch_raw(host, port, timeout, request), retries
-    )
-    return json.loads(raw.decode("utf-8"))
-
-
-def fetch_diag(
-    host: str,
-    port: int,
-    since: int = 0,
-    *,
-    timeout: float = 5.0,
-    retries: int = 0,
-) -> dict:
-    """Synchronous variant of :func:`afetch_diag`."""
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(
-            afetch_diag(host, port, since, timeout=timeout, retries=retries)
-        )
-    raise RuntimeError(
-        "fetch_diag() is synchronous; inside an event loop await "
-        "status.afetch_diag(...) instead"
+        "request() is synchronous; inside an event loop await "
+        "status.arequest(...) instead"
     )

@@ -17,6 +17,7 @@ from repro.fdaas.subscribe import asubscribe_events
 from repro.fdaas.tenants import SLATargets, Tenant, TenantRegistry
 from repro.live.heartbeater import Heartbeater
 from repro.live.monitor import LiveMonitor
+from repro.live.status import arequest
 from repro.live.wire import Heartbeat
 from repro.obs import Observability
 
@@ -138,7 +139,7 @@ def test_two_tenants_auth_sla_and_push():
                 lambda: admission.n_admitted > admitted_before, timeout=10.0
             )
 
-            snap = server._snapshot()
+            snap = await arequest(*server.status_address, "")
             consumer.cancel()
             try:
                 await consumer

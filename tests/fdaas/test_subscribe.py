@@ -4,13 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.fdaas.subscribe import (
-    EventBroker,
-    afetch_events,
-    asubscribe_events,
-    fetch_events,
-)
-from repro.live.status import StatusServer
+from repro.fdaas.subscribe import EventBroker, asubscribe_events
+from repro.live.status import StatusServer, arequest, cursor_argument, request
 
 OVERALL_DEADLINE = 60.0
 
@@ -96,10 +91,12 @@ class TestClients:
 
     def _server(self, broker):
         return StatusServer(
-            lambda: {"peers": {}},
+            {
+                "": lambda: {"peers": {}},
+                "events": (broker.document, cursor_argument),
+                "subscribe": (broker.stream, cursor_argument),
+            },
             port=0,
-            events=broker.document,
-            broker=broker,
         )
 
     def test_afetch_events_one_shot(self):
@@ -110,9 +107,9 @@ class TestClients:
             server = self._server(broker)
             host, port = await server.start()
             try:
-                doc = await afetch_events(host, port)
+                doc = await arequest(host, port, "events")
                 assert [e["type"] for e in doc["events"]] == ["a", "b"]
-                doc = await afetch_events(host, port, cursor=1)
+                doc = await arequest(host, port, "events 1")
                 assert [e["type"] for e in doc["events"]] == ["b"]
                 assert doc["cursor"] == 2
             finally:
@@ -212,7 +209,7 @@ class TestClients:
             broker, (host, port) = asyncio.run_coroutine_threadsafe(
                 scenario(), loop
             ).result(OVERALL_DEADLINE)
-            doc = fetch_events(host, port)
+            doc = request(host, port, "events")
             assert [e["type"] for e in doc["events"]] == ["a"]
         finally:
             loop.call_soon_threadsafe(loop.stop)
@@ -221,7 +218,7 @@ class TestClients:
 
     def test_fetch_events_refuses_inside_a_loop(self):
         async def scenario():
-            with pytest.raises(RuntimeError, match="afetch_events"):
-                fetch_events("127.0.0.1", 1)
+            with pytest.raises(RuntimeError, match="arequest"):
+                request("127.0.0.1", 1, "events")
 
         asyncio.run(scenario())

@@ -27,6 +27,7 @@ from tests.live.test_vectorized_ingest import (
     PARAMS,
     _Clock,
     _assert_same_surface,
+    _drive,
     _generate_workload,
     _run,
 )
@@ -206,50 +207,7 @@ def _run_scripted(script, batches, polls, detectors=DETECTORS):
         ingest_mode="adaptive",
         adaptive_controller=_ScriptedController(script),
     )
-    monitor.now()
-    events = []
-    monitor.subscribe(events.append)
-    pi = 0
-    for t, batch in batches:
-        while pi < len(polls) and polls[pi] <= t:
-            clock.t = polls[pi]
-            monitor.poll()
-            pi += 1
-        clock.t = t
-        payloads = [Heartbeat(s, q, ts).encode() for (s, q, ts) in batch]
-        monitor.ingest_many(payloads, [t] * len(payloads))
-    while pi < len(polls):
-        clock.t = polls[pi]
-        monitor.poll()
-        pi += 1
-    snapshot = monitor.snapshot(now=clock.t)
-    trust = {
-        peer: {
-            det: monitor.is_trusting(peer, det, now=clock.t)
-            for det in detectors
-        }
-        for peer in snapshot["peers"]
-    }
-    timelines = {
-        peer: {
-            det: (tl.start, tl.end, tl.initial_trust,
-                  tl.times.tolist(), tl.states.tolist())
-            for det, tl in per_det.items()
-        }
-        for peer, per_det in monitor.timelines(clock.t).items()
-    }
-    return monitor, {
-        "events": [(e.time, e.peer, e.detector, e.trusting) for e in events],
-        "snapshot": {k: v for k, v in snapshot.items() if k != "monitor"},
-        "counters": (
-            monitor.n_received_total,
-            monitor.n_accepted_total,
-            monitor.n_stale_total,
-            monitor.n_malformed,
-        ),
-        "trust": trust,
-        "timelines": timelines,
-    }
+    return monitor, _drive(monitor, clock, batches, polls, detectors)
 
 
 class TestForcedMigration:

@@ -11,10 +11,15 @@ import random
 
 import pytest
 
-from repro.live.delta import MergedStatusView, SnapshotReplica
+from repro.live.delta import (
+    MergedStatusView,
+    SnapshotReplica,
+    delta_argument,
+    delta_line,
+)
 from repro.live.monitor import LiveMonitor, LiveMonitorServer
 from repro.live.shard import merge_snapshots
-from repro.live.status import StatusServer, afetch_delta, afetch_status
+from repro.live.status import StatusServer, arequest
 from repro.live.wire import Heartbeat
 
 PARAMS = {"2w-fd": 0.05}
@@ -391,48 +396,74 @@ class TestMergedStatusView:
 
 
 class TestDeltaProtocol:
+    def test_request_line_round_trips(self):
+        for since, instance in ((None, None), (0, None), (42, "abc123")):
+            word, _, text = delta_line(since, instance).partition(" ")
+            assert word == "delta"
+            assert delta_argument(text) == (since, instance)
+
+    def test_unparsable_cursor_rejected(self):
+        for text in ("abc", "1.5", "1 inst extra"):
+            with pytest.raises(ValueError):
+                delta_argument(text)
+
     def test_server_serves_delta_request_line(self):
         mon = _mon()
         _beat(mon, "a", 1, 0.1)
 
         async def scenario():
             server = StatusServer(
-                lambda: mon.snapshot(), delta=mon.delta_snapshot
+                {
+                    "": lambda: mon.snapshot(),
+                    "delta": (mon.delta_snapshot, delta_argument),
+                }
             )
             host, port = await server.start()
             try:
-                first = await afetch_delta(host, port)
+                first = await arequest(host, port, delta_line())
                 _beat(mon, "b", 1, 0.2)
-                second = await afetch_delta(
-                    host, port, first["delta"]["cursor"], first["delta"]["instance"]
+                second = await arequest(
+                    host,
+                    port,
+                    delta_line(
+                        first["delta"]["cursor"], first["delta"]["instance"]
+                    ),
                 )
+                bad = await arequest(host, port, "delta x")
+                collision = await arequest(host, port, "deltax")
             finally:
                 await server.stop()
-            return first, second
+            return first, second, bad, collision
 
-        first, second = asyncio.run(scenario())
+        first, second, bad, collision = asyncio.run(scenario())
         assert first["delta"]["full"] is True
         assert second["delta"]["full"] is False
         assert set(second["peers"]) == {"b"}
+        assert "bad argument to 'delta'" in bad["error"]
+        assert "unknown request 'deltax'" in collision["error"]
 
-    def test_server_without_delta_support_returns_full(self):
-        """Fallback discipline: afetch_delta against an old server gets
-        the plain full snapshot, and the replica handles it."""
+    def test_server_without_delta_support_returns_error(self):
+        """A server whose table lacks ``delta`` refuses the request with
+        an envelope naming what it does serve; a client falls back to the
+        empty line, whose plain full snapshot the replica handles."""
         mon = _mon()
         _beat(mon, "a", 1, 0.1)
 
         async def scenario():
-            server = StatusServer(lambda: mon.snapshot())
+            server = StatusServer({"": lambda: mon.snapshot()})
             host, port = await server.start()
             try:
-                return await afetch_delta(host, port, 42, "whatever")
+                refused = await arequest(host, port, delta_line(42, "whatever"))
+                full = await arequest(host, port, "")
+                return refused, full
             finally:
                 await server.stop()
 
-        doc = asyncio.run(scenario())
-        assert "delta" not in doc
+        refused, full = asyncio.run(scenario())
+        assert "unknown request 'delta'" in refused["error"]
+        assert refused["commands"] == []
         rep = SnapshotReplica()
-        rep.apply(doc)
+        rep.apply(full)
         assert set(rep.document()["peers"]) == {"a"}
         assert rep.cursor is None  # keeps asking for full listings
 
@@ -441,10 +472,12 @@ class TestDeltaProtocol:
             raise RuntimeError("delta bug")
 
         async def scenario():
-            server = StatusServer(lambda: {"ok": True}, delta=boom)
+            server = StatusServer(
+                {"": lambda: {"ok": True}, "delta": (boom, delta_argument)}
+            )
             host, port = await server.start()
             try:
-                return await afetch_delta(host, port)
+                return await arequest(host, port, delta_line())
             finally:
                 await server.stop()
 
@@ -464,10 +497,14 @@ class TestDeltaProtocol:
                 for rnd in range(3):
                     t = mon.now()
                     _beat(mon, f"p{rnd}", 1, t)
-                    rep.apply(await afetch_delta(host, port, rep.cursor, rep.instance))
+                    rep.apply(
+                        await arequest(
+                            host, port, delta_line(rep.cursor, rep.instance)
+                        )
+                    )
                     # The full fetch races live time (trusting is
                     # predictive); compare the peer sets + counters.
-                    full = await afetch_status(host, port)
+                    full = await arequest(host, port, "")
                     assert set(rep.document()["peers"]) == set(full["peers"])
             finally:
                 await server.stop()

@@ -11,7 +11,7 @@ import pytest
 
 from repro.live.monitor import LiveMonitor, LiveMonitorServer
 from repro.live.shard import ShardedMonitor, reuseport_supported
-from repro.live.status import afetch_diag, afetch_metrics, fetch_diag
+from repro.live.status import arequest, request
 from repro.live.wire import Heartbeat
 from repro.obs import Observability
 
@@ -51,8 +51,8 @@ class TestLiveServerDiag:
                     await _wait_for(
                         lambda: len(obs.diag.recorder) > 0, timeout=10.0
                     )
-                    doc = await afetch_diag(
-                        *server.status.address, retries=2
+                    doc = await arequest(
+                        *server.status.address, "diag", retries=2
                     )
                 finally:
                     sock.close()
@@ -75,16 +75,22 @@ class TestLiveServerDiag:
         assert stages["estimate"]["count"] > 0
 
     def test_diag_off_serves_an_explanatory_stub(self):
+        """Without diagnostics the table has no ``diag`` command: the
+        reply is a small envelope naming the commands that are served."""
+
         async def scenario():
             monitor = LiveMonitor(
                 INTERVAL, ["2w-fd"], PARAMS, obs=Observability()
             )
             server = LiveMonitorServer(monitor, tick=0.01, status_port=0)
             async with server:
-                return await afetch_diag(*server.status.address, retries=2)
+                return await arequest(
+                    *server.status.address, "diag", retries=2
+                )
 
         doc = asyncio.run(asyncio.wait_for(scenario(), OVERALL_DEADLINE))
-        assert doc == {"diagnostics": False}
+        assert "unknown request 'diag'" in doc["error"]
+        assert doc["commands"] == ["delta", "metrics", "summary", "trace"]
 
     def test_fetch_diag_sync_wrapper_and_cursor_resume(self):
         async def scenario():
@@ -101,12 +107,12 @@ class TestLiveServerDiag:
                     await _wait_for(
                         lambda: len(obs.diag.recorder) >= 2, timeout=10.0
                     )
-                    first = await afetch_diag(
-                        *server.status.address, retries=2
+                    first = await arequest(
+                        *server.status.address, "diag", retries=2
                     )
-                    resumed = await afetch_diag(
+                    resumed = await arequest(
                         *server.status.address,
-                        first["recorder"]["cursor"],
+                        f"diag {first['recorder']['cursor']}",
                         retries=2,
                     )
                 finally:
@@ -124,7 +130,7 @@ class TestLiveServerDiag:
         assert not (first_ids & resumed_ids)
         # The sync wrapper refuses to run inside a live loop.
         async def misuse():
-            fetch_diag("127.0.0.1", 1)
+            request("127.0.0.1", 1, "diag")
 
         with pytest.raises(RuntimeError):
             asyncio.run(misuse())
@@ -165,7 +171,7 @@ class TestFdaasStallEvents:
                     ),
                     timeout=10.0,
                 )
-                diag_doc = await afetch_diag(shost, sport, retries=2)
+                diag_doc = await arequest(shost, sport, "diag", retries=2)
                 consumer.cancel()
                 try:
                     await consumer
@@ -215,7 +221,7 @@ class TestShardedDiag:
                             )
                         await asyncio.sleep(0.01)
                     await asyncio.sleep(0.3)
-                    doc = await afetch_diag(*mon.status.address, retries=2)
+                    doc = await arequest(*mon.status.address, "diag", retries=2)
                 finally:
                     for sock in socks:
                         sock.close()
@@ -255,12 +261,12 @@ class TestShardedDiag:
                         sock.send(Heartbeat("p", seq, time.time()).encode())
                         await asyncio.sleep(0.01)
                     await asyncio.sleep(0.2)
-                    first = await afetch_metrics(
-                        *mon.status.address, retries=2
+                    first = await arequest(
+                        *mon.status.address, "metrics", retries=2
                     )
                     await asyncio.sleep(0.1)
-                    second = await afetch_metrics(
-                        *mon.status.address, retries=2
+                    second = await arequest(
+                        *mon.status.address, "metrics", retries=2
                     )
                 finally:
                     sock.close()

@@ -14,7 +14,7 @@ from repro.detectors.registry import available_detectors
 from repro.live.chaos import ChaosSpec
 from repro.live.heartbeater import Heartbeater
 from repro.live.monitor import LiveMonitor, LiveMonitorServer
-from repro.live.status import afetch_status
+from repro.live.status import arequest
 from repro.qos.metrics import compute_metrics
 
 INTERVAL = 0.02
@@ -109,7 +109,7 @@ def test_crash_is_detected_by_every_registry_detector():
 
             # 2. Observable via the JSON status endpoint.
             host, port = server.status.address
-            status = await afetch_status(host, port)
+            status = await arequest(host, port, "")
             dets = status["peers"]["p"]["detectors"]
             for name in names:
                 assert dets[name]["trusting"] is False, name
@@ -117,7 +117,7 @@ def test_crash_is_detected_by_every_registry_detector():
             assert status["n_events"] == len(monitor.events)
 
             # 2b. The summary protocol serves the constant-size document.
-            summary = await afetch_status(host, port, summary=True)
+            summary = await arequest(host, port, "summary")
             assert "peers" not in summary
             assert summary["monitor"]["n_peers"] == 1
             assert summary["monitor"]["poll_mode"] == "heap"
@@ -198,9 +198,9 @@ def test_status_endpoint_while_stream_is_live():
                     lambda: "p" in monitor.snapshot()["peers"], timeout=10.0
                 )
                 host, port = server.status.address
-                first = await afetch_status(host, port)
+                first = await arequest(host, port, "")
                 await asyncio.sleep(10 * INTERVAL)
-                second = await afetch_status(host, port)
+                second = await arequest(host, port, "")
             finally:
                 hb.stop()
                 await runner

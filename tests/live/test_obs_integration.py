@@ -12,7 +12,7 @@ import asyncio
 import pytest
 
 from repro.live.monitor import LiveMonitor
-from repro.live.status import StatusServer, afetch_metrics, afetch_trace
+from repro.live.status import StatusServer, arequest, cursor_argument
 from repro.live.wire import Heartbeat
 from repro.obs import Observability, parse_exposition
 
@@ -175,14 +175,16 @@ class TestStatusEndpoint:
 
         async def scenario():
             server = StatusServer(
-                lambda: mon.snapshot(5.0),
-                metrics=mon.render_metrics,
-                trace=mon.trace_document,
+                {
+                    "": lambda: mon.snapshot(5.0),
+                    "metrics": mon.render_metrics,
+                    "trace": (mon.trace_document, cursor_argument),
+                }
             )
             host, port = await server.start()
             try:
-                text = await afetch_metrics(host, port)
-                doc = await afetch_trace(host, port)
+                text = await arequest(host, port, "metrics")
+                doc = await arequest(host, port, "trace")
                 return text, doc
             finally:
                 await server.stop()
@@ -197,12 +199,12 @@ class TestStatusEndpoint:
         mon = LiveMonitor(0.1, ["2w-fd"], PARAMS)
 
         async def scenario():
-            server = StatusServer(lambda: mon.snapshot(1.0))
+            server = StatusServer({"": lambda: mon.snapshot(1.0)})
             host, port = await server.start()
             try:
-                with pytest.raises(ValueError, match="JSON snapshot"):
-                    await afetch_metrics(host, port)
+                return await arequest(host, port, "metrics")
             finally:
                 await server.stop()
 
-        asyncio.run(scenario())
+        doc = asyncio.run(scenario())
+        assert "unknown request 'metrics'" in doc["error"]

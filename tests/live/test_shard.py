@@ -12,11 +12,26 @@ import time
 
 import pytest
 
+from repro.live.delta import SnapshotReplica, delta_line
 from repro.live.shard import ShardedMonitor, merge_snapshots, reuseport_supported
-from repro.live.status import SNAPSHOT_SCHEMA_VERSION, afetch_status
+from repro.live.status import SNAPSHOT_SCHEMA_VERSION, arequest
 from repro.live.wire import Heartbeat
 
 PARAMS = {"2w-fd": 0.3}
+
+
+async def full_merge_reference(mon: ShardedMonitor) -> dict:
+    """The reference the parent's merged view must equal: every worker's
+    full snapshot fetched afresh and merged with ``merge_snapshots``."""
+    snaps = await asyncio.gather(
+        *(
+            arequest(mon._status_host, port, "", retries=2)
+            for port in mon._status_ports.values()
+        )
+    )
+    merged = merge_snapshots(snaps)
+    merged["n_shards"] = mon.n_shards
+    return merged
 
 
 def _snap(
@@ -212,15 +227,16 @@ class TestSingleProcessFallback:
             ShardedMonitor(0.1, ["2w-fd"], PARAMS, status_timeout=0.0)
         with pytest.raises(ValueError, match="status_retries"):
             ShardedMonitor(0.1, ["2w-fd"], PARAMS, status_retries=-1)
-        with pytest.raises(ValueError, match="status_mode"):
-            ShardedMonitor(0.1, ["2w-fd"], PARAMS, status_mode="cached")
         mon = ShardedMonitor(
-            0.1, ["2w-fd"], PARAMS, status_timeout=0.5, status_retries=0,
-            status_mode="full",
+            0.1, ["2w-fd"], PARAMS, status_timeout=0.5, status_retries=0
         )
         assert mon._status_timeout == 0.5
         assert mon._status_retries == 0
-        assert mon.status_mode == "full"
+
+    def test_reference_modes_are_not_keywords(self):
+        for kwarg in ("status_mode", "poll_mode", "estimation"):
+            with pytest.raises(TypeError):
+                ShardedMonitor(0.1, ["2w-fd"], PARAMS, **{kwarg: None})
 
 
 @pytest.mark.skipif(
@@ -249,8 +265,8 @@ class TestShardedIntegration:
                             )
                         await asyncio.sleep(0.01)
                     await asyncio.sleep(0.3)
-                    via_endpoint = await afetch_status(
-                        *mon.status.address, retries=2
+                    via_endpoint = await arequest(
+                        *mon.status.address, "", retries=2
                     )
                     direct = await mon.snapshot()
                 finally:
@@ -273,11 +289,9 @@ class TestShardedIntegration:
             )
 
     def test_delta_mode_parent_serves_cursor_resumed_deltas(self):
-        """The default delta aggregation end to end: the parent folds
-        per-worker deltas and serves its own delta protocol, and a
-        downstream replica's reconstruction matches the full fetch."""
-        from repro.live.delta import SnapshotReplica
-        from repro.live.status import afetch_delta
+        """The delta aggregation end to end: the parent folds per-worker
+        deltas and serves its own delta protocol, and a downstream
+        replica's reconstruction matches the full fetch."""
 
         async def scenario():
             mon = ShardedMonitor(
@@ -300,7 +314,9 @@ class TestShardedIntegration:
                             )
                         await asyncio.sleep(0.01)
                     await asyncio.sleep(0.2)
-                    first = await afetch_delta(*mon.status.address, retries=2)
+                    first = await arequest(
+                        *mon.status.address, delta_line(), retries=2
+                    )
                     rep.apply(first)
                     for seq in range(15, 20):
                         for i, sock in enumerate(socks):
@@ -308,11 +324,13 @@ class TestShardedIntegration:
                                 Heartbeat(f"w{i}", seq, time.time()).encode()
                             )
                         await asyncio.sleep(0.01)
-                    second = await afetch_delta(
-                        *mon.status.address, rep.cursor, rep.instance, retries=2
+                    second = await arequest(
+                        *mon.status.address,
+                        delta_line(rep.cursor, rep.instance),
+                        retries=2,
                     )
                     rep.apply(second)
-                    full = await afetch_status(*mon.status.address, retries=2)
+                    full = await arequest(*mon.status.address, "", retries=2)
                 finally:
                     for sock in socks:
                         sock.close()
@@ -326,28 +344,67 @@ class TestShardedIntegration:
         assert sorted(full["peers"]) == [f"w{i}" for i in range(4)]
         assert set(rep.document()["peers"]) == set(full["peers"])
 
-    def test_full_mode_reference_path_still_serves(self):
+    def test_parent_document_equals_full_merge_reference(self):
+        """The parent's merged view equals a fresh full refetch-and-merge
+        of every worker, and its ``summary`` is that document's head."""
+
         async def scenario():
             mon = ShardedMonitor(
                 0.05, ["2w-fd"], PARAMS, n_shards=2, status_port=0,
-                status_mode="full", status_retries=2,
+                status_retries=2,
             )
             async with mon:
-                sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-                sock.connect(mon.address)
+                socks = [
+                    socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                    for _ in range(4)
+                ]
+                for sock in socks:
+                    sock.connect(mon.address)
                 try:
                     for seq in range(1, 8):
-                        sock.send(Heartbeat("p", seq, time.time()).encode())
+                        for i, sock in enumerate(socks):
+                            sock.send(
+                                Heartbeat(f"w{i}", seq, time.time()).encode()
+                            )
                         await asyncio.sleep(0.01)
-                    await asyncio.sleep(0.2)
-                    doc = await mon.snapshot()
                 finally:
-                    sock.close()
-            return doc
+                    for sock in socks:
+                        sock.close()
+                # Let every peer's freshness point pass, so that no entry
+                # changes between the two reads.
+                await asyncio.sleep(1.0)
+                doc = await arequest(*mon.status.address, "", retries=2)
+                summary = await arequest(
+                    *mon.status.address, "summary", retries=2
+                )
+                reference = await full_merge_reference(mon)
+            return doc, summary, reference
 
-        doc = asyncio.run(scenario())
-        assert doc["mode"] == "sharded"
-        assert "p" in doc["peers"]
+        doc, summary, reference = asyncio.run(scenario())
+        assert sorted(doc["peers"]) == [f"w{i}" for i in range(4)]
+        assert doc["peers"] == reference["peers"]
+        for key in ("schema", "mode", "n_shards", "interval", "detectors",
+                    "n_malformed", "n_events"):
+            assert doc[key] == reference[key], key
+        assert doc["monitor"]["n_peers"] == reference["monitor"]["n_peers"]
+        assert "peers" not in summary
+        assert summary["monitor"]["n_peers"] == 4
+        assert set(summary) == set(doc) - {"peers"}
+
+    def test_parent_refuses_commands_it_does_not_serve(self):
+        async def scenario():
+            mon = ShardedMonitor(
+                0.05, ["2w-fd"], PARAMS, n_shards=2, status_port=0
+            )
+            async with mon:
+                return [
+                    await arequest(*mon.status.address, line, retries=2)
+                    for line in ("trace", "metrics", "bogus", "delta x")
+                ]
+
+        for doc in asyncio.run(scenario()):
+            assert set(doc) == {"error", "commands"}
+            assert doc["commands"] == ["delta", "summary"]
 
     def test_stop_terminates_workers(self):
         async def scenario():

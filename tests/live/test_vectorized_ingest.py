@@ -63,9 +63,14 @@ class _Clock:
         return self.t
 
 
-def _generate_workload(seed, n_peers=6, n_batches=40):
+def _generate_workload(seed, n_peers=6, n_batches=40, stale_only=0.0):
     """(time, [(sender, seq, ts), ...]) batches with loss, stale duplicates
-    and out-of-order arrivals, plus the poll instants interleaved."""
+    and out-of-order arrivals, plus the poll instants interleaved.
+
+    ``stale_only`` is the chance that a batch is followed by one holding
+    nothing but replays of already-accepted seqs, so that polls fall
+    between a peer's last accepted beat and its stale-only arrivals.
+    """
     rng = random.Random(seed)
     peers = [f"peer-{i}" for i in range(n_peers)]
     seqs = dict.fromkeys(peers, 0)
@@ -84,6 +89,16 @@ def _generate_workload(seed, n_peers=6, n_batches=40):
         rng.shuffle(batch)  # out-of-order within the batch
         if batch:
             batches.append((t, batch))
+        if rng.random() < stale_only:
+            t += rng.uniform(0.05, 0.2)
+            replays = [
+                (p, rng.randint(1, seqs[p]), t - 0.5)
+                for p in peers
+                for _ in range(rng.randint(0, 3))
+                if seqs[p]
+            ]
+            if replays:
+                batches.append((t, replays))
     polls = [i * 0.07 for i in range(1, int(t / 0.07) + 3)]
     return batches, polls
 
@@ -100,14 +115,41 @@ def _run(mode, batches, polls, detectors=DETECTORS, single=False):
         estimation="shared",
         ingest_mode=mode,
     )
+    return _drive(monitor, clock, batches, polls, detectors, single)
+
+
+def _drive(monitor, clock, batches, polls, detectors=DETECTORS, single=False):
+    """The surface :func:`_run` reports, for a monitor built by the caller
+    on ``clock``."""
     monitor.now()  # pin the epoch at clock 0: explicit arrivals line up
     events = []
     monitor.subscribe(events.append)
+    # After every poll: the delta since the previous one — which peers it
+    # lists and their counters, the surface a status client sees.
+    deltas = []
+    cursor = instance = None
+
+    def poll():
+        nonlocal cursor, instance
+        monitor.poll()
+        doc = monitor.delta_snapshot(cursor, instance, now=clock.t)
+        cursor = doc["delta"]["cursor"]
+        instance = doc["delta"]["instance"]
+        deltas.append(
+            (
+                {
+                    peer: (e["n_datagrams"], e["n_accepted"], e["n_stale"])
+                    for peer, e in doc["peers"].items()
+                },
+                doc["removed"],
+            )
+        )
+
     pi = 0
     for t, batch in batches:
         while pi < len(polls) and polls[pi] <= t:
             clock.t = polls[pi]
-            monitor.poll()
+            poll()
             pi += 1
         clock.t = t
         payloads = [Heartbeat(s, q, ts).encode() for (s, q, ts) in batch]
@@ -118,7 +160,7 @@ def _run(mode, batches, polls, detectors=DETECTORS, single=False):
             monitor.ingest_many(payloads, [t] * len(payloads))
     while pi < len(polls):
         clock.t = polls[pi]
-        monitor.poll()
+        poll()
         pi += 1
     snapshot = monitor.snapshot(now=clock.t)
     trust = {
@@ -147,11 +189,14 @@ def _run(mode, batches, polls, detectors=DETECTORS, single=False):
         ),
         "trust": trust,
         "timelines": timelines,
+        "deltas": deltas,
     }
 
 
 def _assert_same_surface(reference, other, label):
-    for key in ("events", "counters", "trust", "timelines", "snapshot"):
+    for key in (
+        "events", "counters", "trust", "timelines", "snapshot", "deltas",
+    ):
         assert reference[key] == other[key], (
             f"{label} diverges from scalar reference on {key!r}"
         )
@@ -170,6 +215,17 @@ class TestBitwiseEquivalence:
         _assert_same_surface(
             scalar, _run("adaptive", batches, polls), "adaptive"
         )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stale_only_batches_between_polls(self, seed):
+        """Polls interleaved with batches of nothing but stale replays:
+        per-peer counters and the peers each delta lists must match the
+        scalar reference in every mode, not only the events."""
+        batches, polls = _generate_workload(seed, stale_only=0.4)
+        scalar = _run("scalar", batches, polls)
+        assert scalar["counters"][2] > 0, "workload sent no stale beats"
+        for mode in MODES[1:]:
+            _assert_same_surface(scalar, _run(mode, batches, polls), mode)
 
     @pytest.mark.parametrize(
         "name,param",

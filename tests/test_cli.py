@@ -187,17 +187,27 @@ class TestLiveCli:
     def test_monitor_scale_knobs_parse(self):
         args = build_parser().parse_args(
             ["live", "monitor", "--max-events", "1000",
-             "--retain-transitions", "64", "--poll-mode", "sweep"]
+             "--retain-transitions", "64"]
         )
         assert args.max_events == 1000
         assert args.retain_transitions == 64
-        assert args.poll_mode == "sweep"
 
     def test_monitor_defaults_heap_unbounded(self):
         args = build_parser().parse_args(["live", "monitor"])
-        assert args.poll_mode == "heap"
         assert args.max_events is None
         assert args.retain_transitions is None
+
+    def test_monitor_help_lists_no_reference_modes(self, capsys):
+        """The reference oracles (sweep polling, private estimation, full
+        shard refetch) are test/bench helpers, not runtime flags."""
+        with pytest.raises(SystemExit):
+            main(["live", "monitor", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--poll-mode", "--estimation", "--status-mode"):
+            assert flag not in out
+        for flag in ("--poll-mode", "--estimation", "--status-mode"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["live", "monitor", flag, "x"])
 
     def test_monitor_rejects_nonpositive_max_events(self, capsys):
         code = main(["live", "monitor", "--max-events", "0"])
@@ -213,10 +223,45 @@ class TestLiveCli:
         code = main(
             ["live", "monitor", "--port", "0", "--duration", "0.2",
              "--detector", "bertier", "--max-events", "16",
-             "--retain-transitions", "32", "--poll-mode", "heap"]
+             "--retain-transitions", "32"]
         )
         assert code == 0
         assert "monitoring UDP" in capsys.readouterr().out
+
+    def test_clients_report_refused_commands(self, capsys):
+        """Against a monitor without observability, ``metrics``, ``trace``
+        and ``diag`` are refused with an error envelope, which each
+        client reports on stderr with exit code 1."""
+        import asyncio
+        import json
+        import threading
+
+        from repro.live.monitor import LiveMonitor, LiveMonitorServer
+
+        server = LiveMonitorServer(
+            LiveMonitor(0.1, ["2w-fd"], {"2w-fd": 0.05}), status_port=0
+        )
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        try:
+            asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
+            port = str(server.status.address[1])
+            for command, hint in (
+                ("metrics", "observability"),
+                ("trace", "without a tracer"),
+                ("diag", "without runtime diagnostics"),
+            ):
+                assert main(["live", command, "--port", port]) == 1
+                assert hint in capsys.readouterr().err
+            assert main(["live", "status", "--port", port, "--summary"]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert "peers" not in summary and "monitor" in summary
+        finally:
+            asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10)
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(10)
+            loop.close()
 
     def test_status_summary_flag_parses(self):
         args = build_parser().parse_args(
