@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable ('repro-fd detectors' lists names and tuning knobs)",
     )
     p_mon.add_argument("--interval", type=float, default=0.1, help="expected Δi [s]")
-    p_mon.add_argument("--tick", type=float, default=0.02, help="liveness poll period [s]")
+    p_mon.add_argument("--tick", type=float, default=0.02, help="longest gap between polls [s]")
     p_mon.add_argument(
         "--max-events",
         type=int,

@@ -5,8 +5,8 @@ One object composes the whole control plane around a single
 
 - UDP ingest through an :class:`~repro.fdaas.admission.AdmissionController`
   (authentication, replay, tenancy, rate limits — all three ingest modes);
-- the monitor's liveness poll (via the wrapped
-  :class:`~repro.live.monitor.LiveMonitorServer`);
+- the monitor's liveness poll, timed at each freshness point (via the
+  wrapped :class:`~repro.live.monitor.LiveMonitorServer`);
 - a periodic :class:`~repro.fdaas.sla.SLATracker` evaluation loop;
 - an :class:`~repro.fdaas.subscribe.EventBroker` fed by both the
   monitor's transition stream and the SLA loop;
@@ -45,7 +45,8 @@ class FdaasServer:
     """Multi-tenant failure detection as a service over one monitor.
 
     Parameters mirror :class:`~repro.live.monitor.LiveMonitorServer`
-    (``host``/``port`` for UDP ingest, ``tick`` for the liveness poll,
+    (``host``/``port`` for UDP ingest, ``tick`` for the longest gap
+    between liveness polls, which otherwise run at each freshness point,
     ``status_port`` for the TCP status endpoint, ``ingest_mode`` for
     scalar/batched/vectorized) plus the fdaas pieces: the tenant
     ``registry``, the SLA evaluation period ``sla_tick``, and the event

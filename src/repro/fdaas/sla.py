@@ -114,15 +114,25 @@ class SLATracker:
             now = self._monitor.now()
         self.n_evaluations += 1
         events: List[SLAEvent] = []
+        enforced = {
+            tenant.tenant_id: tenant.sla
+            for tenant in self._registry
+            if tenant.sla is not None and tenant.sla.enforced
+        }
+        if not enforced and not self._breached:
+            return events  # nothing to evaluate and nothing to recover
+        # Rolling metrics are computed only for the series of enforced
+        # tenants: the others would be walked for nothing.
+        qos = self._qos
         seen: set = set()
-        for (sender, detector), metrics in self._qos.all_metrics(now):
+        for sender, detector in qos.keys:
             tenant_id, peer = split_peer(sender)
-            if tenant_id is None:
+            sla = enforced.get(tenant_id)
+            if sla is None:
                 continue
-            tenant = self._registry.get(tenant_id)
-            if tenant is None or tenant.sla is None or not tenant.sla.enforced:
+            metrics = qos.metrics(sender, detector, now)
+            if metrics is None:
                 continue
-            sla = tenant.sla
             for metric, value, limit, breached in (
                 ("t_mr", metrics["t_mr"], sla.t_mr, _above(metrics["t_mr"], sla.t_mr)),
                 ("t_m", metrics["t_m"], sla.t_m, _above(metrics["t_m"], sla.t_m)),

@@ -17,14 +17,16 @@ field and discarded on pop); :meth:`LiveMonitor.poll` pops only entries
 whose deadline has passed, advances *all* of the popped peer's detectors,
 and re-schedules the earliest still-pending deadline.  Because the
 per-peer minimum is ≤ every detector deadline, no expiry can be missed,
-and a tick costs O(expired peers · log n) with exactly one heap push per
+and a poll costs O(expired peers · log n) with exactly one heap push per
 accepted heartbeat however many detectors are configured.  The pre-heap
 full sweep survives as ``poll_mode="sweep"``, the reference the
 equivalence property tests and the live benchmark compare against.
 
 :class:`LiveMonitorServer` binds the engine to an asyncio UDP endpoint and
-a periodic poll task, optionally alongside the JSON status endpoint
-(:mod:`repro.live.status`).
+one poll timer, armed at the heap's earliest live deadline (at most
+``tick`` away), so an expiry is materialized at its freshness point
+rather than on the next tick; optionally alongside the JSON status
+endpoint (:mod:`repro.live.status`).
 
 All detector inputs are ``(seq, arrival)`` with arrivals on the *monitor's*
 monotonic clock, relative to the monitor's start — sender clocks (and any
@@ -632,7 +634,7 @@ class LiveMonitor:
             "Exceptions raised (and contained) by event listeners.",
         )
         self._m_polls = reg.counter(
-            "repro_polls_total", "Liveness poll ticks executed."
+            "repro_polls_total", "Liveness polls executed."
         )
         self._m_batches = reg.counter(
             "repro_ingest_batches_total", "ingest_many calls executed."
@@ -848,6 +850,26 @@ class LiveMonitor:
     def heap_size(self) -> int:
         """Live + stale entries currently on the deadline heap."""
         return len(self._heap)
+
+    def next_deadline(self) -> float | None:
+        """The earliest live deadline on the heap, in monitor time.
+
+        Superseded entries on top are popped first: they are garbage at
+        any time, and a timer armed at one would wake for nothing.  A
+        poll at any instant strictly past the returned deadline
+        materializes it.  ``None`` when no peer has a pending deadline,
+        and always in ``poll_mode="sweep"``, which keeps no schedule.
+        """
+        if self._poll_mode != "heap":
+            return None
+        heap = self._heap
+        peer_list = self._peer_by_index
+        while heap:
+            deadline, pidx = heap[0]
+            if peer_list[pidx].sched == deadline:
+                return deadline
+            heapq.heappop(heap)
+        return None
 
     @property
     def events(self) -> List[LiveEvent]:
@@ -2047,16 +2069,20 @@ class _MonitorProtocol(asyncio.DatagramProtocol):
     first — spoofed/replayed/over-limit beats are dropped (and counted by
     the controller) before the monitor ever sees them; malformed ones pass
     through so the monitor stays the single authority on malformed counts.
+    ``ingested`` is called after each hand-off (the server's deadline
+    check).
     """
 
-    def __init__(self, monitor: LiveMonitor, admission=None):
+    def __init__(self, monitor: LiveMonitor, admission, ingested):
         self._monitor = monitor
         self._admission = admission
+        self._ingested = ingested
 
     def datagram_received(self, data: bytes, addr) -> None:  # pragma: no cover - thin
         admission = self._admission
         if admission is None or admission.admit(data, addr):
             self._monitor.ingest(data, addr=addr)
+            self._ingested()
 
 
 class _BatchedMonitorProtocol(asyncio.DatagramProtocol):
@@ -2070,9 +2096,10 @@ class _BatchedMonitorProtocol(asyncio.DatagramProtocol):
     as one batch — per-datagram Python overhead collapses to one append.
     """
 
-    def __init__(self, monitor: LiveMonitor, admission=None):
+    def __init__(self, monitor: LiveMonitor, admission, ingested):
         self._monitor = monitor
         self._admission = admission
+        self._ingested = ingested
         self._buffer: List[tuple] = []
         self._flush_scheduled = False
         self._loop = asyncio.get_running_loop()
@@ -2097,6 +2124,7 @@ class _BatchedMonitorProtocol(asyncio.DatagramProtocol):
                 return
         datagrams, addrs = zip(*batch)
         self._monitor.ingest_many(datagrams, addrs=addrs)
+        self._ingested()
 
     def connection_lost(self, exc) -> None:  # pragma: no cover - thin
         self._flush()
@@ -2105,8 +2133,19 @@ class _BatchedMonitorProtocol(asyncio.DatagramProtocol):
 class LiveMonitorServer:
     """Asyncio runtime around :class:`LiveMonitor`.
 
-    Binds a UDP endpoint, runs the liveness poll at ``tick`` seconds, and
+    Binds a UDP endpoint, polls the monitor from one timer, and
     (optionally) serves the JSON status endpoint on a local TCP port.
+
+    The timer is armed with ``loop.call_later`` at the earlier of the
+    monitor's earliest live heap deadline
+    (:meth:`LiveMonitor.next_deadline`) and the last poll plus ``tick``,
+    so an expiry is materialized as soon as its freshness point passes
+    and ``tick`` is the longest gap between polls.  After every hand-off
+    to the monitor, each receive path compares the heap's top with the
+    armed instant (no clock read) and re-arms only when a new deadline
+    lies earlier.  A wake-up that finds nothing due (its deadline was
+    superseded by a fresher heartbeat, or the timer fired a hair early)
+    re-arms without polling.
     """
 
     def __init__(
@@ -2149,7 +2188,16 @@ class LiveMonitorServer:
         # reusable DatagramArena (zero bytes objects per datagram).
         self._arena_sock = None
         self._arena = None
-        self._poll_task: asyncio.Task | None = None
+        # The poll timer (see the class docstring); `_armed` is the
+        # monitor-time instant it is armed for, -inf while stopped so
+        # that late receive callbacks cannot re-arm it.  `_heap` is the
+        # monitor's deadline heap, or empty for the sweep reference,
+        # which keeps no schedule.
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._timer: asyncio.TimerHandle | None = None
+        self._armed = -math.inf
+        self._ceiling = -math.inf
+        self._heap = monitor._heap if monitor.poll_mode == "heap" else ()
         self.status: StatusServer | None = None
         self.address: Tuple[str, int] | None = None
         # Runtime diagnostics (when the monitor's obs bundle carries
@@ -2232,6 +2280,7 @@ class LiveMonitorServer:
                 self._admission.filter_arena(self._arena)
             if self._arena.last_fill:
                 self.monitor.ingest_arena(self._arena)
+                self._ingested()
 
     async def start(self) -> Tuple[str, int]:
         """Bind the socket and start polling; returns the bound address."""
@@ -2253,11 +2302,11 @@ class LiveMonitorServer:
         else:
             if self._ingest_mode == "batched":
                 protocol_factory = lambda: _BatchedMonitorProtocol(
-                    self.monitor, self._admission
+                    self.monitor, self._admission, self._ingested
                 )
             else:
                 protocol_factory = lambda: _MonitorProtocol(
-                    self.monitor, self._admission
+                    self.monitor, self._admission, self._ingested
                 )
             if self._sock is not None:
                 self._transport, _ = await loop.create_datagram_endpoint(
@@ -2279,7 +2328,9 @@ class LiveMonitorServer:
         if self._diag is not None:
             self._diag.watchdog.start()
             self._sig_token = install_sigusr1(self.monitor.diag_document)
-        self._poll_task = asyncio.create_task(self._poll_loop())
+        self._loop = loop
+        self._ceiling = self.monitor.now() + self._tick
+        self._arm()
         logger.info(
             structured(
                 "monitor-started",
@@ -2291,27 +2342,46 @@ class LiveMonitorServer:
         )
         return self.address
 
-    @staticmethod
-    def _next_tick(start: float, k: int, tick: float, now: float) -> Tuple[int, float]:
-        """Absolute-deadline pacing: deadline of tick ``k+1``, skipping
-        slots already missed (so a stall never causes a catch-up burst,
-        and sleep jitter never accumulates — the same discipline as
-        ``heartbeater.py``)."""
-        k += 1
-        target = start + k * tick
-        if target <= now:
-            k = int((now - start) / tick) + 1
-            target = start + k * tick
-        return k, target
+    def _arm(self) -> None:
+        """Arm the poll timer at the earliest live deadline, or at the
+        ceiling (last poll + ``tick``) when none lies earlier."""
+        monitor = self.monitor
+        target = self._ceiling
+        deadline = monitor.next_deadline()
+        if deadline is not None and deadline < target:
+            target = deadline
+        if self._timer is not None:
+            self._timer.cancel()
+        self._armed = target
+        delay = max(target - monitor.now(), 0.0)
+        self._timer = self._loop.call_later(delay, self._fire)
 
-    async def _poll_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-        k = 0
-        while True:
-            self.monitor.poll()
-            k, target = self._next_tick(start, k, self._tick, loop.time())
-            await asyncio.sleep(max(0.0, target - loop.time()))
+    def _ingested(self) -> None:
+        """Receive-path check after each hand-off to the monitor: re-arm
+        when a deadline on the heap's top lies before the armed instant.
+        A fresh heartbeat's deadline normally lies beyond it, so the
+        common case is one comparison and no clock read."""
+        heap = self._heap
+        if heap and heap[0][0] < self._armed:
+            deadline = self.monitor.next_deadline()  # pops superseded tops
+            if deadline is not None and deadline < self._armed:
+                self._arm()
+
+    def _fire(self) -> None:
+        """Timer callback: poll when a live deadline has strictly passed
+        (``poll`` expires only ``deadline < now``) or the ceiling is
+        reached, then re-arm.  ``self.monitor.poll`` is looked up per
+        call, so a wrapper installed on the instance is the one run."""
+        self._timer = None
+        monitor = self.monitor
+        now = monitor.now()
+        try:
+            deadline = monitor.next_deadline()
+            if now >= self._ceiling or (deadline is not None and deadline < now):
+                monitor.poll(now)
+                self._ceiling = now + self._tick
+        finally:
+            self._arm()
 
     async def stop(self) -> None:
         """Shut everything down; one final poll flushes pending expiries."""
@@ -2320,13 +2390,10 @@ class LiveMonitorServer:
             if self._sig_token is not None:
                 restore_sigusr1(self._sig_token)
                 self._sig_token = None
-        if self._poll_task is not None:
-            self._poll_task.cancel()
-            try:
-                await self._poll_task
-            except asyncio.CancelledError:
-                pass
-            self._poll_task = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._armed = -math.inf
         if self._transport is not None:
             self._transport.close()
             self._transport = None

@@ -6,7 +6,7 @@ lifts that ceiling without any routing tier: N worker processes each bind
 the *same* UDP address, and the kernel distributes datagrams across the
 sockets by a hash of the packet's 4-tuple, so one sender's heartbeats
 consistently land on one worker.  Each worker owns a full
-:class:`LiveMonitor` (its own detectors, deadline heap, poll loop, and
+:class:`LiveMonitor` (its own detectors, deadline heap, poll timer, and
 local status endpoint); no state is shared between workers, so there is no
 locking anywhere on the datagram path.
 

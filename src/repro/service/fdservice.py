@@ -120,7 +120,7 @@ class SharedFDMonitor:
     def advance_to(self, now: float) -> None:
         """Materialize deadline expiries up to ``now`` for every application.
 
-        Online users (the live runtime's poll loop) call this so that a
+        Online users (the live runtime's poll timer) call this so that a
         freshness point passing between heartbeats becomes an S-transition
         at the expiry instant, exactly as the per-detector engines do.
         """

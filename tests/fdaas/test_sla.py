@@ -183,3 +183,63 @@ class TestLifecycle:
         text = obs.render_metrics()
         assert "repro_fdaas_sla_breaches_total" in text
         assert 'repro_fdaas_sla_breached{tenant="acme"} 1' in text
+
+
+class TestEvaluationScope:
+    """Rolling metrics are computed only for enforced tenants' series."""
+
+    def _spy(self, obs, monkeypatch):
+        calls = []
+        metrics = obs.qos.metrics
+
+        def spy(peer, detector, now):
+            calls.append(peer)
+            return metrics(peer, detector, now)
+
+        monkeypatch.setattr(obs.qos, "metrics", spy)
+        return calls
+
+    def test_tenants_without_targets_are_skipped(self, monkeypatch):
+        monitor, _, tracker, obs = _stack(
+            Tenant("acme", sla=SLATargets(p_a=0.9)),
+            Tenant("free"),
+            Tenant("empty", sla=SLATargets()),
+        )
+        for sender in ("acme/web", "free/web", "empty/web", "bare-peer"):
+            _beat(monitor, sender, 1, 0.0)
+            _suspect(obs, sender, 0.0)
+            _trust(obs, sender, 1.0)
+        calls = self._spy(obs, monkeypatch)
+        events = tracker.evaluate(now=2.0)
+        assert [(e.tenant, e.kind) for e in events] == [("acme", "breach")]
+        assert calls == ["acme/web"]
+
+    def test_no_enforced_tenant_walks_nothing(self, monkeypatch):
+        monitor, _, tracker, obs = _stack(Tenant("free"))
+        _beat(monitor, "free/web", 1, 0.0)
+        _suspect(obs, "free/web", 0.0)
+        calls = self._spy(obs, monkeypatch)
+        monkeypatch.setattr(
+            type(obs.qos), "keys", property(lambda self: pytest.fail("keys walked"))
+        )
+        assert tracker.evaluate(now=2.0) == []
+        assert calls == []
+        assert tracker.n_evaluations == 1
+
+    def test_dropping_the_last_targets_still_recovers(self):
+        """With no tenant enforcing any more, a series that was breached
+        still gets its recovery (then the pass has nothing left to do)."""
+        monitor, registry, tracker, obs = _stack(
+            Tenant("acme", sla=SLATargets(p_a=0.9))
+        )
+        _beat(monitor, "acme/web", 1, 0.0)
+        _suspect(obs, "acme/web", 0.0)
+        _trust(obs, "acme/web", 1.0)
+        assert [e.kind for e in tracker.evaluate(now=2.0)] == ["breach"]
+        registry.register(Tenant("acme"))  # targets withdrawn
+        events = tracker.evaluate(now=3.0)
+        assert [(e.peer, e.metric, e.kind) for e in events] == [
+            ("web", "p_a", "recovery")
+        ]
+        assert tracker.evaluate(now=4.0) == []
+        assert tracker.status()["tenants"] == {}

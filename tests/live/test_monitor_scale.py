@@ -3,15 +3,18 @@
 The deadline heap is an optimization, never a semantic change: across
 randomized multi-peer chaos scenarios, ``poll_mode="heap"`` must emit an
 event stream bitwise-identical (times, order, trust flags) to the
-reference ``poll_mode="sweep"`` full walk, with identical timelines — and
-its per-poll work must be proportional to expiries, not to the number of
-monitored peers.  The memory bounds (event ring buffer, transition-log
+reference ``poll_mode="sweep"`` full walk, with identical timelines — on
+a fixed poll grid and on the server timer's schedule (a poll just past
+every :meth:`LiveMonitor.next_deadline`) alike — and its per-poll work
+must be proportional to expiries, not to the number of monitored peers.  The memory bounds (event ring buffer, transition-log
 compaction) and listener hardening ride the same engine and are covered
 here too.
 """
 
+import asyncio
 import math
 import random
+import socket
 
 import numpy as np
 import pytest
@@ -58,10 +61,14 @@ def _random_scenario(seed):
     return steps, end
 
 
-def _run(mode, steps, end, **kwargs):
-    mon = LiveMonitor(
+def _monitor(mode, **kwargs):
+    return LiveMonitor(
         INTERVAL, ["2w-fd", "bertier"], {"2w-fd": 0.15}, poll_mode=mode, **kwargs
     )
+
+
+def _run(mode, steps, end, **kwargs):
+    mon = _monitor(mode, **kwargs)
     for kind, t, payload in steps:
         if kind == "hb":
             mon.ingest(payload, t)
@@ -69,6 +76,46 @@ def _run(mode, steps, end, **kwargs):
             mon.poll(t)
     mon.poll(end)
     return mon
+
+
+def _poll_due(schedule, monitors, now, until):
+    """Poll ``monitors`` where the server's timer would: just past each
+    live deadline of ``schedule`` (a heap-mode monitor) before ``until``,
+    and never before ``now``, the last arrival (a late beat can leave a
+    deadline behind the clock, which the timer then polls at once).
+    Returns the poll instants."""
+    instants = []
+    while True:
+        deadline = schedule.next_deadline()
+        if deadline is None or deadline >= until:
+            return instants
+        now = max(now, math.nextafter(deadline, math.inf))  # expiry is strict
+        for mon in monitors:
+            mon.poll(now)
+        instants.append(now)
+
+
+def _run_on_deadlines(steps, end):
+    """The scenario's heartbeats with the grid polls replaced by the
+    timer's schedule, driven by the heap monitor; the sweep reference is
+    polled at the same instants.  Returns (heap, sweep, poll instants)."""
+    heap, sweep = _monitor("heap"), _monitor("sweep")
+    instants = []
+    now = 0.0
+    for kind, t, payload in steps:
+        if kind == "hb":
+            instants += _poll_due(heap, (heap, sweep), now, t)
+            heap.ingest(payload, t)
+            sweep.ingest(payload, t)
+            now = t
+    instants += _poll_due(heap, (heap, sweep), now, end)
+    heap.poll(end)
+    sweep.poll(end)
+    return heap, sweep, instants
+
+
+def _event_key(e):
+    return (e.time, e.peer, e.detector, e.trusting)
 
 
 class TestHeapSweepEquivalence:
@@ -95,6 +142,24 @@ class TestHeapSweepEquivalence:
                 assert a.initial_trust == b.initial_trust
                 assert np.array_equal(a.times, b.times)
                 assert np.array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_deadline_schedule_matches_sweep_and_grid(self, seed):
+        """Polled at every ``next_deadline()`` instant instead of on a
+        grid, the heap emits the sweep's stream exactly (same instants,
+        same order) and the grid run's events: only the instant each is
+        emitted moves, never its time or content."""
+        steps, end = _random_scenario(seed)
+        heap, sweep, instants = _run_on_deadlines(steps, end)
+        assert instants, "scenario produced no deadline expiries"
+        assert heap.events == sweep.events
+        for peer in heap.peers:
+            assert heap.snapshot(end)["peers"][peer] == sweep.snapshot(end)["peers"][peer]
+        grid = _run("heap", steps, end)
+        assert sorted(map(_event_key, heap.events)) == sorted(
+            map(_event_key, grid.events)
+        )
+        assert heap.snapshot(end)["peers"] == grid.snapshot(end)["peers"]
 
     def test_deadline_on_poll_instant_not_lost(self):
         """A freshness point landing exactly on a poll tick must survive.
@@ -318,17 +383,115 @@ class TestObservability:
         assert mon.heartbeat_rate(120.0) < busy * 1e-3  # long silence decays
 
 
-class TestPollLoopPacing:
-    def test_absolute_deadlines_no_drift(self):
-        """Tick k's deadline is start + k·tick, independent of sleep jitter."""
-        k, target = LiveMonitorServer._next_tick(10.0, 0, 0.02, 10.001)
-        assert (k, target) == (1, pytest.approx(10.02))
-        k, target = LiveMonitorServer._next_tick(10.0, k, 0.02, 10.0205)
-        assert (k, target) == (2, pytest.approx(10.04))
+class TestNextDeadline:
+    def test_skips_superseded_and_removed_entries(self):
+        mon = LiveMonitor(INTERVAL, ["fixed-timeout"], {"fixed-timeout": 0.5})
+        assert mon.next_deadline() is None
+        mon.ingest(_hb("a", 1), 0.1)
+        mon.ingest(_hb("b", 1), 0.2)
+        mon.ingest(_hb("c", 1), 0.3)
+        first = mon.next_deadline()
+        assert first == mon._peers["a"].sched
+        # A fresher beat supersedes a's entry: it is popped, not returned.
+        mon.ingest(_hb("a", 2), 0.4)
+        assert mon.heap_size == 4
+        assert mon.next_deadline() == mon._peers["b"].sched > first
+        assert mon.heap_size == 3
+        # A removed peer's entry dies the same way.
+        mon.remove_peer("b")
+        assert mon.next_deadline() == mon._peers["c"].sched
+        assert mon.heap_size == 2
+        # Idempotent: a live top is peeked, never popped.
+        assert mon.next_deadline() == mon._peers["c"].sched
+        assert mon.heap_size == 2
+        # Past every deadline nothing stays pending.
+        mon.poll(10.0)
+        assert mon.next_deadline() is None
 
-    def test_stall_skips_missed_ticks(self):
-        """After a stall the loop realigns to the grid, no catch-up burst."""
-        k, target = LiveMonitorServer._next_tick(10.0, 3, 0.02, 10.113)
-        assert target > 10.113
-        assert target == pytest.approx(10.0 + k * 0.02)
-        assert k == 6
+    def test_sweep_mode_keeps_no_schedule(self):
+        mon = LiveMonitor(
+            INTERVAL, ["fixed-timeout"], {"fixed-timeout": 0.5}, poll_mode="sweep"
+        )
+        mon.ingest(_hb("a", 1), 0.1)
+        assert mon.next_deadline() is None
+
+
+async def _wait_for(predicate, *, timeout: float):
+    async def loop():
+        while not predicate():
+            await asyncio.sleep(0.005)
+
+    await asyncio.wait_for(loop(), timeout)
+
+
+class TestDeadlineTimer:
+    """The server polls at the next freshness point, not on its tick."""
+
+    @pytest.mark.parametrize("mode", ["scalar", "batched", "vectorized", "adaptive"])
+    def test_suspicion_emitted_well_inside_the_tick(self, mode):
+        """With a 0.5 s tick, a tick-paced poll would leave a silenced
+        peer's suspicion waiting ~250 ms on average; the timer emits it
+        within a few ms of its freshness point on every receive path."""
+        waits = []
+
+        async def scenario():
+            monitor = LiveMonitor(
+                0.05, ["fixed-timeout"], {"fixed-timeout": 0.1}, ingest_mode=mode
+            )
+            monitor.subscribe(
+                lambda e: e.trusting or waits.append(monitor.now() - e.time)
+            )
+            async with LiveMonitorServer(monitor, tick=0.5, ingest_mode=mode) as server:
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                    # Two peers, silenced ~30 ms apart.
+                    for k in range(1, 6):
+                        sock.sendto(_hb("a", k), server.address)
+                        await asyncio.sleep(0.03)
+                        sock.sendto(_hb("b", k), server.address)
+                        await asyncio.sleep(0.02)
+                await _wait_for(lambda: len(waits) == 2, timeout=5.0)
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))
+        assert len(waits) == 2
+        assert max(waits) < 0.1, waits
+
+    def test_earlier_deadline_rearms_the_timer(self):
+        """Armed at the ``tick`` ceiling on an empty heap, the timer moves
+        to the first peer's deadline as soon as its beat is ingested."""
+        suspected = []
+
+        async def scenario():
+            monitor = LiveMonitor(0.05, ["fixed-timeout"], {"fixed-timeout": 0.1})
+            monitor.subscribe(lambda e: e.trusting or suspected.append(e))
+            async with LiveMonitorServer(monitor, tick=30.0) as server:
+                assert server._armed == pytest.approx(monitor.now() + 30.0, abs=1.0)
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                    sock.sendto(_hb("a", 1), server.address)
+                await _wait_for(lambda: monitor.n_peers == 1, timeout=5.0)
+                assert server._armed == monitor.next_deadline()
+                assert server._armed < monitor.now() + 1.0
+                await _wait_for(lambda: suspected, timeout=5.0)
+                # With nothing pending the timer falls back to the ceiling.
+                assert monitor.next_deadline() is None
+                assert server._armed > monitor.now() + 20.0
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))
+        assert [e.peer for e in suspected] == ["a"]
+
+    def test_stop_cancels_the_timer_and_keeps_the_final_poll(self):
+        async def scenario():
+            monitor = LiveMonitor(0.05, ["fixed-timeout"], {"fixed-timeout": 0.1})
+            server = LiveMonitorServer(monitor, tick=30.0)
+            await server.start()
+            polls = monitor.n_polls
+            timer = server._timer
+            await server.stop()
+            assert timer.cancelled()
+            assert server._timer is None
+            assert monitor.n_polls == polls + 1
+            # A late receive callback cannot re-arm a stopped server.
+            monitor.ingest(_hb("a", 1))
+            server._ingested()
+            assert server._timer is None
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))

@@ -13,10 +13,17 @@ per-drain interleaving of the batched and vectorized paths must land on
 the same surface (its controller/migration mechanics are exercised in
 ``test_adaptive_ingest.py``).
 
-The only tolerated difference is the ``monitor`` load block (batch counts,
-heap size): batching strategy is observable there by design.
+The only tolerated difference is the ``monitor`` load block (batch
+counts): batching strategy is observable there by design.  The heap size
+is compared too: these workloads accept at most one beat per peer per
+batch, where every mode pushes the same entries.
+
+Each surface is recorded under two poll schedules: the old fixed grid
+and the server timer's (a poll just past every
+:meth:`LiveMonitor.next_deadline`).
 """
 
+import math
 import random
 
 import pytest
@@ -103,7 +110,9 @@ def _generate_workload(seed, n_peers=6, n_batches=40, stale_only=0.0):
     return batches, polls
 
 
-def _run(mode, batches, polls, detectors=DETECTORS, single=False):
+def _run(
+    mode, batches, polls, detectors=DETECTORS, single=False, schedule="grid"
+):
     """Drive one monitor through the workload; return its full observable
     surface: events, snapshot, per-peer trust queries, QoS timelines."""
     clock = _Clock()
@@ -115,18 +124,27 @@ def _run(mode, batches, polls, detectors=DETECTORS, single=False):
         estimation="shared",
         ingest_mode=mode,
     )
-    return _drive(monitor, clock, batches, polls, detectors, single)
+    return _drive(monitor, clock, batches, polls, detectors, single, schedule)
 
 
-def _drive(monitor, clock, batches, polls, detectors=DETECTORS, single=False):
+def _drive(
+    monitor, clock, batches, polls, detectors=DETECTORS, single=False,
+    schedule="grid",
+):
     """The surface :func:`_run` reports, for a monitor built by the caller
-    on ``clock``."""
+    on ``clock``.
+
+    ``schedule="grid"`` polls at ``polls``; ``"deadline"`` polls where the
+    server's timer would, just past each live deadline, and ends with one
+    poll at ``polls[-1]``.
+    """
     monitor.now()  # pin the epoch at clock 0: explicit arrivals line up
     events = []
     monitor.subscribe(events.append)
     # After every poll: the delta since the previous one — which peers it
     # lists and their counters, the surface a status client sees.
     deltas = []
+    heap_sizes = []
     cursor = instance = None
 
     def poll():
@@ -144,13 +162,30 @@ def _drive(monitor, clock, batches, polls, detectors=DETECTORS, single=False):
                 doc["removed"],
             )
         )
+        heap_sizes.append(monitor.heap_size)
 
     pi = 0
-    for t, batch in batches:
-        while pi < len(polls) and polls[pi] <= t:
-            clock.t = polls[pi]
+
+    def poll_until(t):
+        nonlocal pi
+        if schedule == "grid":
+            while pi < len(polls) and polls[pi] <= t:
+                clock.t = polls[pi]
+                poll()
+                pi += 1
+            return
+        while True:
+            deadline = monitor.next_deadline()
+            if deadline is None or deadline >= t:
+                return
+            # Strictly past the deadline (expiry is strict), and never
+            # before the last arrival: a late beat can leave a deadline
+            # behind the clock, which the timer then polls at once.
+            clock.t = max(clock.t, math.nextafter(deadline, math.inf))
             poll()
-            pi += 1
+
+    for t, batch in batches:
+        poll_until(t)
         clock.t = t
         payloads = [Heartbeat(s, q, ts).encode() for (s, q, ts) in batch]
         if single:
@@ -158,10 +193,10 @@ def _drive(monitor, clock, batches, polls, detectors=DETECTORS, single=False):
                 monitor.ingest(p, arrival=t)
         else:
             monitor.ingest_many(payloads, [t] * len(payloads))
-    while pi < len(polls):
-        clock.t = polls[pi]
+    poll_until(polls[-1])
+    if schedule == "deadline":
+        clock.t = polls[-1]
         poll()
-        pi += 1
     snapshot = monitor.snapshot(now=clock.t)
     trust = {
         peer: {
@@ -190,31 +225,36 @@ def _drive(monitor, clock, batches, polls, detectors=DETECTORS, single=False):
         "trust": trust,
         "timelines": timelines,
         "deltas": deltas,
+        "heap_sizes": heap_sizes,
     }
 
 
 def _assert_same_surface(reference, other, label):
     for key in (
         "events", "counters", "trust", "timelines", "snapshot", "deltas",
+        "heap_sizes",
     ):
         assert reference[key] == other[key], (
             f"{label} diverges from scalar reference on {key!r}"
         )
 
 
+def _assert_modes_agree(batches, polls, schedule="grid"):
+    """Every mode's surface equals the scalar reference's; returns it."""
+    scalar = _run("scalar", batches, polls, schedule=schedule)
+    for mode in MODES[1:]:
+        _assert_same_surface(
+            scalar, _run(mode, batches, polls, schedule=schedule), mode
+        )
+    return scalar
+
+
 class TestBitwiseEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_all_modes_bitwise_identical(self, seed):
         batches, polls = _generate_workload(seed)
-        scalar = _run("scalar", batches, polls)
+        scalar = _assert_modes_agree(batches, polls)
         assert scalar["events"], "workload produced no transitions"
-        _assert_same_surface(scalar, _run("batched", batches, polls), "batched")
-        _assert_same_surface(
-            scalar, _run("vectorized", batches, polls), "vectorized"
-        )
-        _assert_same_surface(
-            scalar, _run("adaptive", batches, polls), "adaptive"
-        )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stale_only_batches_between_polls(self, seed):
@@ -222,10 +262,31 @@ class TestBitwiseEquivalence:
         per-peer counters and the peers each delta lists must match the
         scalar reference in every mode, not only the events."""
         batches, polls = _generate_workload(seed, stale_only=0.4)
-        scalar = _run("scalar", batches, polls)
+        scalar = _assert_modes_agree(batches, polls)
         assert scalar["counters"][2] > 0, "workload sent no stale beats"
-        for mode in MODES[1:]:
-            _assert_same_surface(scalar, _run(mode, batches, polls), mode)
+
+    @pytest.mark.parametrize(
+        "seed,stale_only", [(s, 0.0) for s in range(8)] + [(s, 0.4) for s in range(6)]
+    )
+    def test_all_modes_identical_on_the_deadline_schedule(self, seed, stale_only):
+        """The two tests above with the polls where the server's timer
+        puts them, just past each live deadline."""
+        batches, polls = _generate_workload(seed, stale_only=stale_only)
+        scalar = _assert_modes_agree(batches, polls, schedule="deadline")
+        assert scalar["events"], "workload produced no transitions"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deadline_schedule_emits_the_grid_events(self, seed):
+        """Moving the polls to the deadlines changes only when an event
+        is emitted: the same events (by time and content), counters,
+        final snapshot, trust answers and timelines as the grid."""
+        batches, polls = _generate_workload(seed, stale_only=0.2)
+        grid = _run("scalar", batches, polls)
+        timed = _run("scalar", batches, polls, schedule="deadline")
+        assert len(timed["deltas"]) > len(polls) / 2, "deadlines never polled"
+        assert sorted(timed["events"]) == sorted(grid["events"])
+        for key in ("counters", "trust", "timelines", "snapshot"):
+            assert timed[key] == grid[key], key
 
     @pytest.mark.parametrize(
         "name,param",
